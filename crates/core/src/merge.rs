@@ -87,23 +87,40 @@ pub fn merge_pair_with_distance(
     let alignment = align_banded(f1, &seq1, f2, &seq2, band_for(options, distance));
     let align_time = align_span.stop();
 
+    // The sub-stage spans split `merge.codegen` for `salssa profile`; they
+    // only record trace events and never change what is produced.
     let gen_span = telemetry::timed_span("merge.codegen");
+    let span = telemetry::span("merge.generate");
     let (mut merged, maps) = codegen::generate(f1, f2, &alignment, options, merged_name)?;
+    drop(span);
     // Collapse the per-entry block chains before SSA repair so phi-nodes are
     // only placed at genuine join points of the merged CFG.
+    let span = telemetry::span("merge.simplify");
     ssa_passes::simplify_cfg::simplify(&mut merged);
+    drop(span);
+    let span = telemetry::span("merge.repair");
     let repair = ssa_repair::repair(&mut merged, &maps, options.phi_coalescing);
+    drop(span);
+    let span = telemetry::span("merge.cleanup");
     ssa_passes::cleanup_function(&mut merged);
+    drop(span);
     if options.phi_coalescing {
         // Coalesce the per-function phi copies that never conflict (the
         // phi-level counterpart of Section 4.4), then clean up the selects
         // whose arms have become identical.
+        let span = telemetry::span("merge.phi_dedup");
         ssa_passes::phi_dedup::absorb_undef_compatible_phis(&mut merged);
+        drop(span);
+        let span = telemetry::span("merge.cleanup");
         ssa_passes::cleanup_function(&mut merged);
+        drop(span);
     }
     let codegen_time = gen_span.stop();
 
-    if !verifier::verify_function(&merged).is_empty() {
+    let span = telemetry::span("merge.verify");
+    let valid = verifier::verify_function(&merged).is_empty();
+    drop(span);
+    if !valid {
         return None;
     }
 

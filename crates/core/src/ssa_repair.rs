@@ -17,7 +17,7 @@
 
 use crate::codegen::CodegenMaps;
 use ssa_ir::dominators::DomTree;
-use ssa_ir::{BlockId, Function, InstId, InstKind, Type, Value};
+use ssa_ir::{BlockId, EntityId, Function, InstId, InstKind, Type, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics of one SSA-repair run.
@@ -44,10 +44,11 @@ pub fn repair(function: &mut Function, maps: &CodegenMaps, coalesce: bool) -> Re
     if broken.is_empty() {
         return stats;
     }
+    let users = users_of_defs(function, &broken);
 
     // Group definitions: coalesced pairs share one slot, the rest get one each.
     let groups = if coalesce {
-        let (pairs, singles) = coalesce_pairs(function, maps, &broken);
+        let (pairs, singles) = coalesce_pairs(function, maps, &broken, &users);
         stats.coalesced_pairs = pairs.len();
         pairs
             .into_iter()
@@ -66,7 +67,7 @@ pub fn repair(function: &mut Function, maps: &CodegenMaps, coalesce: bool) -> Re
         let slot = function.insert_inst(entry, 0, InstKind::Alloca { ty }, Type::Ptr);
         slots.push(slot);
         for &def in group {
-            demote_def_to_slot(function, def, slot);
+            demote_def_to_slot(function, def, slot, &users[&def]);
         }
     }
     stats.slots = slots.len();
@@ -81,11 +82,16 @@ pub fn repair(function: &mut Function, maps: &CodegenMaps, coalesce: bool) -> Re
 pub fn find_broken_defs(function: &Function) -> Vec<InstId> {
     let domtree = DomTree::compute(function);
     let mut broken: Vec<InstId> = Vec::new();
-    let mut seen: HashSet<InstId> = HashSet::new();
+    let mut seen = vec![false; function.inst_capacity()];
+    let mut flag = |def: InstId| {
+        if !std::mem::replace(&mut seen[def.index()], true) {
+            broken.push(def);
+        }
+    };
     for block in function.block_ids() {
-        for user in function.block(block).all_insts().collect::<Vec<_>>() {
-            let kind = function.inst(user).kind.clone();
-            if let InstKind::Phi { incomings } = &kind {
+        for user in function.block(block).all_insts() {
+            let kind = &function.inst(user).kind;
+            if let InstKind::Phi { incomings } = kind {
                 for (value, pred) in incomings {
                     let Value::Inst(def) = value else { continue };
                     if !function.contains_inst(*def) {
@@ -94,29 +100,49 @@ pub fn find_broken_defs(function: &Function) -> Vec<InstId> {
                     let def_block = function.inst(*def).block;
                     let ok = domtree.is_reachable(*pred)
                         && (def_block == *pred || domtree.dominates(def_block, *pred));
-                    if !ok && seen.insert(*def) {
-                        broken.push(*def);
+                    if !ok {
+                        flag(*def);
                     }
                 }
             } else {
-                let mut defs = Vec::new();
                 kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        defs.push(d);
+                    if let Value::Inst(def) = v {
+                        if function.contains_inst(def)
+                            && !domtree.def_dominates_use(function, def, user, block)
+                        {
+                            flag(def);
+                        }
                     }
                 });
-                for def in defs {
-                    if !function.contains_inst(def) {
-                        continue;
-                    }
-                    if !domtree.def_dominates_use(function, def, user, block) && seen.insert(def) {
-                        broken.push(def);
-                    }
-                }
             }
         }
     }
     broken
+}
+
+/// The users of each definition in `defs`, in arena order, from one scan of
+/// the function. Demoting one definition never adds or removes a use of
+/// another, so the table stays valid through the whole repair.
+fn users_of_defs(function: &Function, defs: &[InstId]) -> HashMap<InstId, Vec<InstId>> {
+    let mut index: Vec<Option<usize>> = vec![None; function.inst_capacity()];
+    for (i, d) in defs.iter().enumerate() {
+        index[d.index()] = Some(i);
+    }
+    let mut users: Vec<Vec<InstId>> = vec![Vec::new(); defs.len()];
+    for inst in function.inst_ids() {
+        function.inst(inst).kind.for_each_operand(|v| {
+            let Some(i) = v
+                .as_inst()
+                .and_then(|d| index.get(d.index()).copied().flatten())
+            else {
+                return;
+            };
+            if users[i].last() != Some(&inst) {
+                users[i].push(inst);
+            }
+        });
+    }
+    defs.iter().copied().zip(users).collect()
 }
 
 /// Pairs broken definitions that are disjoint (one exclusive to each input
@@ -126,13 +152,10 @@ fn coalesce_pairs(
     function: &Function,
     maps: &CodegenMaps,
     broken: &[InstId],
+    users: &HashMap<InstId, Vec<InstId>>,
 ) -> (Vec<(InstId, InstId)>, Vec<InstId>) {
     let user_blocks = |d: InstId| -> HashSet<BlockId> {
-        function
-            .users_of(Value::Inst(d))
-            .into_iter()
-            .map(|u| function.inst(u).block)
-            .collect()
+        users[&d].iter().map(|&u| function.inst(u).block).collect()
     };
     let mut f1_only: Vec<InstId> = Vec::new();
     let mut f2_only: Vec<InstId> = Vec::new();
@@ -190,11 +213,10 @@ fn coalesce_pairs(
 /// Demotes one definition to the given stack slot: stores it right after its
 /// definition and replaces every use by a load placed before the user (or at
 /// the end of the incoming block for phi uses).
-fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId) {
+fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId, users: &[InstId]) {
     let slot_val = Value::Inst(slot);
     let ty = function.inst(def).ty;
     let def_block = function.inst(def).block;
-    let users = function.users_of(Value::Inst(def));
 
     // Place the defining store.
     if let InstKind::Invoke { normal, .. } = &function.inst(def).kind {
@@ -229,7 +251,7 @@ fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId) {
     }
 
     // Replace the uses.
-    for user in users {
+    for &user in users {
         let user_block = function.inst(user).block;
         let user_kind = function.inst(user).kind.clone();
         if let InstKind::Phi { incomings } = user_kind {

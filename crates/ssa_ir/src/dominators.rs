@@ -6,22 +6,36 @@
 //! code generator.
 
 use crate::function::Function;
-use crate::ids::{BlockId, InstId};
-use std::collections::{HashMap, HashSet};
+use crate::ids::{BlockId, EntityId, InstId};
+use std::collections::HashSet;
+
+/// Marks a block that is not reachable from the entry.
+const UNREACHABLE: u32 = u32::MAX;
 
 /// The dominator tree of a function, including dominance frontiers.
+///
+/// Tables are dense: per-block lookups go through the block's position in
+/// reverse post-order, and dominance queries compare dominator-tree
+/// pre-order numbers instead of walking the idom chain.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each reachable block (the entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
-    /// Children in the dominator tree.
-    children: HashMap<BlockId, Vec<BlockId>>,
-    /// Dominance frontier of each reachable block.
-    frontier: HashMap<BlockId, Vec<BlockId>>,
     /// Reverse post-order of reachable blocks.
     rpo: Vec<BlockId>,
-    /// Position of each block in `rpo`.
-    rpo_index: HashMap<BlockId, usize>,
+    /// Position of each block (by id) in `rpo`, or [`UNREACHABLE`].
+    rpo_index: Vec<u32>,
+    /// Immediate dominator of each reachable block, as an `rpo` position
+    /// (the entry maps to itself).
+    idom: Vec<u32>,
+    /// Children in the dominator tree, in reverse post-order, grouped by
+    /// parent: `children[child_start[p]..child_start[p + 1]]`.
+    children: Vec<BlockId>,
+    child_start: Vec<u32>,
+    /// Dominance frontier of each reachable block, by `rpo` position.
+    frontier: Vec<Vec<BlockId>>,
+    /// Dominator-tree pre-order number and subtree size, by `rpo` position:
+    /// `a` dominates `b` iff `b`'s number falls in `a`'s subtree range.
+    pre: Vec<u32>,
+    size: Vec<u32>,
     entry: BlockId,
 }
 
@@ -34,89 +48,133 @@ impl DomTree {
     pub fn compute(function: &Function) -> DomTree {
         let entry = function.entry();
         let rpo = function.reverse_post_order();
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        let preds_all = function.predecessors();
-        // Only consider predecessors that are themselves reachable.
-        let preds: HashMap<BlockId, Vec<BlockId>> = rpo
-            .iter()
-            .map(|b| {
-                let ps = preds_all
-                    .get(b)
-                    .map(|v| {
-                        v.iter()
-                            .copied()
-                            .filter(|p| rpo_index.contains_key(p))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
-                (*b, ps)
-            })
-            .collect();
+        let n = rpo.len();
+        let mut rpo_index = vec![UNREACHABLE; function.block_capacity()];
+        for (i, b) in rpo.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
+        }
+        let pos = |b: BlockId| rpo_index[b.index()];
+        // Reachable predecessors of each block, one entry per edge, in the
+        // layout order of the predecessor (as `Function::predecessors`).
+        let mut pred_start = vec![0u32; n + 1];
+        let reachable_edges = || {
+            function
+                .block_ids()
+                .filter(|&b| pos(b) != UNREACHABLE)
+                .flat_map(move |b| function.successor_iter(b).map(move |s| (pos(b), pos(s))))
+        };
+        for (_, s) in reachable_edges() {
+            pred_start[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut preds = vec![0u32; pred_start[n] as usize];
+        let mut fill = pred_start.clone();
+        for (p, s) in reachable_edges() {
+            preds[fill[s as usize] as usize] = p;
+            fill[s as usize] += 1;
+        }
+        let preds_of = |b: usize| &preds[pred_start[b] as usize..pred_start[b + 1] as usize];
 
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        // Cooper–Harvey–Kennedy over rpo positions.
+        let mut idom = vec![UNREACHABLE; n];
+        idom[0] = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[&b] {
-                    if !idom.contains_key(&p) {
+            for b in 1..n {
+                let mut new_idom: Option<u32> = None;
+                for &p in preds_of(b) {
+                    if idom[p as usize] == UNREACHABLE {
                         continue;
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
+                        Some(cur) => intersect(&idom, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
+                    if idom[b] != ni {
+                        idom[b] = ni;
                         changed = true;
                     }
                 }
             }
         }
 
-        let mut children: HashMap<BlockId, Vec<BlockId>> =
-            rpo.iter().map(|b| (*b, Vec::new())).collect();
-        for (&b, &d) in &idom {
-            if b != entry {
-                children.entry(d).or_default().push(b);
-            }
+        // Children grouped by parent; visiting blocks in rpo order keeps
+        // each group sorted by rpo position.
+        let mut child_start = vec![0u32; n + 1];
+        for b in 1..n {
+            child_start[idom[b] as usize + 1] += 1;
         }
-        for kids in children.values_mut() {
-            kids.sort_by_key(|b| rpo_index[b]);
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut children = vec![entry; n.saturating_sub(1)];
+        let mut fill = child_start.clone();
+        for b in 1..n {
+            let parent = idom[b] as usize;
+            children[fill[parent] as usize] = rpo[b];
+            fill[parent] += 1;
         }
 
         // Dominance frontiers (Cytron et al. via the CHK formulation).
-        let mut frontier: HashMap<BlockId, Vec<BlockId>> =
-            rpo.iter().map(|b| (*b, Vec::new())).collect();
-        for &b in &rpo {
-            let ps = &preds[&b];
+        let mut frontier: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        for b in 0..n {
+            let ps = preds_of(b);
             if ps.len() < 2 {
                 continue;
             }
             for &p in ps {
                 let mut runner = p;
-                while runner != idom[&b] {
-                    let entry_vec = frontier.entry(runner).or_default();
-                    if !entry_vec.contains(&b) {
-                        entry_vec.push(b);
+                while runner != idom[b] {
+                    let entry_vec = &mut frontier[runner as usize];
+                    if !entry_vec.contains(&rpo[b]) {
+                        entry_vec.push(rpo[b]);
                     }
-                    runner = idom[&runner];
+                    runner = idom[runner as usize];
                 }
             }
         }
 
+        // Pre-order numbers and subtree sizes.
+        let mut pre = vec![0u32; n];
+        let mut size = vec![1u32; n];
+        let mut order = Vec::with_capacity(n);
+        if n > 0 {
+            let mut stack = vec![0u32];
+            while let Some(b) = stack.pop() {
+                pre[b as usize] = order.len() as u32;
+                order.push(b);
+                let kids = &children
+                    [child_start[b as usize] as usize..child_start[b as usize + 1] as usize];
+                stack.extend(kids.iter().rev().map(|&c| pos(c)));
+            }
+        }
+        for &b in order.iter().skip(1).rev() {
+            size[idom[b as usize] as usize] += size[b as usize];
+        }
+
         DomTree {
-            idom,
-            children,
-            frontier,
             rpo,
             rpo_index,
+            idom,
+            children,
+            child_start,
+            frontier,
+            pre,
+            size,
             entry,
+        }
+    }
+
+    /// The `rpo` position of `block`, if it is reachable.
+    fn pos(&self, block: BlockId) -> Option<usize> {
+        match self.rpo_index.get(block.index()) {
+            Some(&i) if i != UNREACHABLE => Some(i as usize),
+            _ => None,
         }
     }
 
@@ -132,45 +190,38 @@ impl DomTree {
 
     /// Returns `true` when `block` is reachable from the entry.
     pub fn is_reachable(&self, block: BlockId) -> bool {
-        self.rpo_index.contains_key(&block)
+        self.pos(block).is_some()
     }
 
     /// Immediate dominator of a reachable block (`None` for the entry or for
     /// unreachable blocks).
     pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        let d = *self.idom.get(&block)?;
-        if d == block {
-            None
-        } else {
-            Some(d)
-        }
+        let b = self.pos(block)?;
+        (b != 0).then(|| self.rpo[self.idom[b] as usize])
     }
 
     /// Children of `block` in the dominator tree.
     pub fn children(&self, block: BlockId) -> &[BlockId] {
-        self.children.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        match self.pos(block) {
+            Some(b) => {
+                &self.children[self.child_start[b] as usize..self.child_start[b + 1] as usize]
+            }
+            None => &[],
+        }
     }
 
     /// Dominance frontier of `block`.
     pub fn frontier(&self, block: BlockId) -> &[BlockId] {
-        self.frontier.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        self.pos(block).map_or(&[], |b| self.frontier[b].as_slice())
     }
 
     /// Returns `true` when `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.is_reachable(a) || !self.is_reachable(b) {
+        let (Some(a), Some(b)) = (self.pos(a), self.pos(b)) else {
             return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom(cur) {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
+        };
+        let (pa, pb) = (self.pre[a], self.pre[b]);
+        pa <= pb && pb < pa + self.size[a]
     }
 
     /// Returns `true` when `a` strictly dominates `b`.
@@ -204,38 +255,36 @@ impl DomTree {
     ) -> bool {
         let def_block = function.inst(def).block;
         if def_block != user_block {
-            return self.strictly_dominates(def_block, user_block)
-                || self.dominates(def_block, user_block);
+            return self.dominates(def_block, user_block);
         }
         // Same block: rely on intra-block ordering. Phis implicitly precede
-        // every ordinary instruction.
-        let block = function.block(def_block);
-        let order: Vec<InstId> = block.all_insts().collect();
-        let def_pos = order.iter().position(|i| *i == def);
-        let use_pos = order.iter().position(|i| *i == user);
-        match (def_pos, use_pos) {
-            (Some(d), Some(u)) => d < u,
-            // If the user is not in this block (e.g. a phi use routed through a
-            // predecessor), the definition reaches the block end and therefore
-            // the use.
-            (Some(_), None) => true,
-            _ => false,
+        // every ordinary instruction. A definition listed before the user
+        // dominates it; so does one listed in a block the user is not in
+        // (e.g. a phi use routed through a predecessor): the definition
+        // reaches the block end.
+        if def == user {
+            return false;
         }
+        for inst in function.block(def_block).all_insts() {
+            if inst == def {
+                return true;
+            }
+            if inst == user {
+                return false;
+            }
+        }
+        false
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
+/// The nearest common dominator of two rpo positions.
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while a > b {
+            a = idom[a as usize];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while b > a {
+            b = idom[b as usize];
         }
     }
     a

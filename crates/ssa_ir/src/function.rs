@@ -1,6 +1,6 @@
 //! Functions, basic blocks and the mutation API used by all passes.
 
-use crate::ids::{Arena, BlockId, InstId};
+use crate::ids::{Arena, BlockId, EntityId, InstId};
 use crate::instruction::{InstData, InstKind};
 use crate::types::Type;
 use crate::value::Value;
@@ -313,18 +313,26 @@ impl Function {
         id
     }
 
-    /// Removes a block and all of its instructions. The caller is responsible
-    /// for ensuring no other block still branches to it.
-    pub fn remove_block(&mut self, block: BlockId) {
+    /// Removes blocks and all of their instructions, with one pass over the
+    /// layout order. The caller is responsible for ensuring no surviving
+    /// block still branches to them. A removed entry is replaced by the first
+    /// surviving block.
+    pub fn remove_blocks(&mut self, blocks: &[BlockId]) {
+        if blocks.is_empty() {
+            return;
+        }
         self.invalidate_structural_key();
-        if let Some(data) = self.blocks.remove(block) {
-            for inst in data.all_insts() {
-                self.insts.remove(inst);
+        for &block in blocks {
+            if let Some(data) = self.blocks.remove(block) {
+                for inst in data.all_insts() {
+                    self.insts.remove(inst);
+                }
             }
-            self.block_order.retain(|b| *b != block);
-            if self.entry == Some(block) {
-                self.entry = self.block_order.first().copied();
-            }
+        }
+        let live = &self.blocks;
+        self.block_order.retain(|b| live.contains(*b));
+        if self.entry.is_some_and(|e| !self.blocks.contains(e)) {
+            self.entry = self.block_order.first().copied();
         }
     }
 
@@ -361,6 +369,18 @@ impl Function {
     /// Number of live blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// One past the largest block id ever allocated: the length of a table
+    /// indexed by `BlockId::index()` (ids are dense and never reused).
+    pub fn block_capacity(&self) -> usize {
+        self.blocks.capacity_slots()
+    }
+
+    /// One past the largest instruction id ever allocated: the length of a
+    /// table indexed by `InstId::index()`.
+    pub fn inst_capacity(&self) -> usize {
+        self.insts.capacity_slots()
     }
 
     /// Returns a reference to an instruction.
@@ -449,13 +469,44 @@ impl Function {
         let block = self.inst(id).block;
         if self.blocks.contains(block) {
             let data = self.block_mut(block);
-            data.phis.retain(|i| *i != id);
-            data.insts.retain(|i| *i != id);
             if data.term == Some(id) {
                 data.term = None;
+            } else {
+                data.phis.retain(|i| *i != id);
+                data.insts.retain(|i| *i != id);
             }
         }
         self.insts.remove(id);
+    }
+
+    /// Removes several instructions, touching each affected block once. Same
+    /// result as calling [`Function::remove_inst`] on each.
+    pub fn remove_insts(&mut self, ids: &[InstId]) {
+        if ids.is_empty() {
+            return;
+        }
+        self.invalidate_structural_key();
+        let mut doomed = vec![false; self.insts.capacity_slots()];
+        let mut blocks = Vec::new();
+        for &id in ids {
+            if let Some(data) = self.insts.get(id) {
+                doomed[id.index()] = true;
+                blocks.push(data.block);
+            }
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        let keep = |i: &InstId| !doomed[i.index()];
+        for block in blocks {
+            if let Some(data) = self.blocks.get_mut(block) {
+                data.phis.retain(keep);
+                data.insts.retain(keep);
+                data.term = data.term.filter(keep);
+            }
+        }
+        for &id in ids {
+            self.insts.remove(id);
+        }
     }
 
     /// Detaches the terminator of `block` (if any) and removes it.
@@ -494,10 +545,15 @@ impl Function {
     /// Successor blocks of `block`, in terminator order. Blocks without a
     /// terminator have no successors.
     pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
-        match self.block(block).term {
-            Some(term) => self.inst(term).kind.successors(),
-            None => Vec::new(),
-        }
+        self.successor_iter(block).collect()
+    }
+
+    /// Non-allocating form of [`Function::successors`].
+    pub fn successor_iter(&self, block: BlockId) -> impl DoubleEndedIterator<Item = BlockId> + '_ {
+        self.block(block)
+            .term
+            .into_iter()
+            .flat_map(|term| self.inst(term).kind.successor_iter())
     }
 
     /// Computes the predecessor map of the whole CFG. A block appears once per
@@ -507,7 +563,7 @@ impl Function {
         let mut preds: HashMap<BlockId, Vec<BlockId>> =
             self.block_ids().map(|b| (b, Vec::new())).collect();
         for b in self.block_ids() {
-            for s in self.successors(b) {
+            for s in self.successor_iter(b) {
                 preds.entry(s).or_default().push(b);
             }
         }
@@ -531,6 +587,15 @@ impl Function {
         count
     }
 
+    /// Rewrites every value operand of every live instruction through `f`, in
+    /// one sweep over the arena.
+    pub fn map_operands(&mut self, mut f: impl FnMut(Value) -> Value) {
+        self.invalidate_structural_key();
+        for (_, data) in self.insts.iter_mut() {
+            data.kind.for_each_operand_mut(|v| *v = f(*v));
+        }
+    }
+
     /// Returns the users (instructions that reference `value` as an operand).
     pub fn users_of(&self, value: Value) -> Vec<InstId> {
         let mut users = Vec::new();
@@ -548,26 +613,13 @@ impl Function {
         users
     }
 
-    /// Rewrites every reference to block `from` (in terminators and phi
-    /// incoming lists) to refer to `to`.
-    pub fn replace_block_refs(&mut self, from: BlockId, to: BlockId) {
-        let ids: Vec<InstId> = self.insts.ids().collect();
-        for id in ids {
-            self.inst_mut(id).kind.for_each_block_ref_mut(|b| {
-                if *b == from {
-                    *b = to;
-                }
-            });
-        }
-    }
-
     /// Blocks in reverse post-order from the entry block. Unreachable blocks
     /// are not included.
     pub fn reverse_post_order(&self) -> Vec<BlockId> {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = vec![false; self.block_capacity()];
         let mut post = Vec::new();
         // Iterative DFS with an explicit stack to survive deep CFGs.
         enum Frame {
@@ -578,13 +630,12 @@ impl Function {
         while let Some(frame) = stack.pop() {
             match frame {
                 Frame::Enter(b) => {
-                    if !visited.insert(b) {
+                    if std::mem::replace(&mut visited[b.index()], true) {
                         continue;
                     }
                     stack.push(Frame::Exit(b));
-                    let succs = self.successors(b);
-                    for s in succs.into_iter().rev() {
-                        if !visited.contains(&s) {
+                    for s in self.successor_iter(b).rev() {
+                        if !visited[s.index()] {
                             stack.push(Frame::Enter(s));
                         }
                     }
@@ -787,11 +838,45 @@ mod tests {
     }
 
     #[test]
+    fn batch_removal_matches_one_by_one_removal() {
+        let mut one = sample();
+        let mut batch = sample();
+        let add = one.inst_by_name("s").unwrap();
+        let exit = one.block_by_name("exit").unwrap();
+        let ret = one.block(exit).term.unwrap();
+        one.remove_inst(add);
+        one.remove_inst(ret);
+        batch.remove_insts(&[ret, add]);
+        assert_eq!(
+            crate::printer::print_function(&one),
+            crate::printer::print_function(&batch)
+        );
+        batch.remove_blocks(&[exit]);
+        assert_eq!(batch.num_blocks(), 1);
+        assert_eq!(batch.block_ids().collect::<Vec<_>>(), vec![batch.entry()]);
+    }
+
+    #[test]
+    fn map_operands_rewrites_in_one_sweep() {
+        let mut f = sample();
+        f.map_operands(|v| if v == Value::Arg(1) { Value::i32(3) } else { v });
+        let add = f.inst_by_name("s").unwrap();
+        assert_eq!(
+            f.inst(add).kind.operands(),
+            vec![Value::Arg(0), Value::i32(3)]
+        );
+        assert_eq!(
+            f.successor_iter(f.entry()).collect::<Vec<_>>(),
+            f.successors(f.entry())
+        );
+    }
+
+    #[test]
     fn remove_block_removes_instructions() {
         let mut f = sample();
         let exit = f.block_by_name("exit").unwrap();
         let count_before = f.num_insts();
-        f.remove_block(exit);
+        f.remove_blocks(&[exit]);
         assert_eq!(f.num_blocks(), 1);
         assert_eq!(f.num_insts(), count_before - 1);
     }

@@ -138,6 +138,15 @@ impl<I: EntityId, T> Arena<I, T> {
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (I::from_index(i), v)))
     }
 
+    /// Iterates over `(id, &mut value)` pairs of live entities in allocation
+    /// order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (I, &mut T)> + '_ {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_mut().map(|v| (I::from_index(i), v)))
+    }
+
     /// Iterates over the ids of live entities in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = I> + '_ {
         self.slots

@@ -469,22 +469,26 @@ impl InstKind {
         }
     }
 
-    /// The successor blocks referenced by this instruction (terminators and
-    /// phi-node incoming blocks reference blocks).
+    /// The successor blocks of a terminator, in operand order (a block
+    /// listed twice appears twice). Other instructions have none.
     pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            InstKind::Br { dest } => vec![*dest],
+        self.successor_iter().collect()
+    }
+
+    /// Non-allocating form of [`InstKind::successors`].
+    pub fn successor_iter(&self) -> impl DoubleEndedIterator<Item = BlockId> + '_ {
+        let (head, cases): ([Option<BlockId>; 2], &[(i64, BlockId)]) = match self {
+            InstKind::Br { dest } => ([Some(*dest), None], &[]),
             InstKind::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            InstKind::Switch { default, cases, .. } => {
-                let mut out = vec![*default];
-                out.extend(cases.iter().map(|(_, b)| *b));
-                out
-            }
-            InstKind::Invoke { normal, unwind, .. } => vec![*normal, *unwind],
-            _ => Vec::new(),
-        }
+            } => ([Some(*if_true), Some(*if_false)], &[]),
+            InstKind::Switch { default, cases, .. } => ([Some(*default), None], cases),
+            InstKind::Invoke { normal, unwind, .. } => ([Some(*normal), Some(*unwind)], &[]),
+            _ => ([None, None], &[]),
+        };
+        head.into_iter()
+            .flatten()
+            .chain(cases.iter().map(|(_, b)| *b))
     }
 
     /// Calls `f` on a mutable reference to each referenced block label

@@ -3,37 +3,47 @@
 //! Part of the "Simplification" clean-up stage that both FMSA and SalSSA run
 //! after code generation (Figure 1 of the paper).
 
-use ssa_ir::{BinOp, Constant, Function, ICmpPred, InstId, InstKind, Type, Value};
+use crate::subst::Subst;
+use ssa_ir::{BinOp, Constant, EntityId, Function, ICmpPred, InstId, InstKind, Type, Value};
 
 /// Folds constant expressions and trivial algebraic identities. Returns the
 /// number of instructions replaced by constants or simpler values.
+///
+/// Each instruction's operands are brought up to date just before it is
+/// folded; everyone else's are rewritten in one sweep at the end.
 pub fn fold_constants(function: &mut Function) -> usize {
-    let mut folded = 0;
+    let mut subst = Subst::new(function);
+    let mut removed = Vec::new();
+    let mut is_removed = vec![false; function.inst_capacity()];
+    let mut order: Vec<InstId> = Vec::new();
+    for block in function.block_ids() {
+        order.extend(function.block(block).all_insts());
+    }
     loop {
         let mut changed = false;
-        let insts: Vec<InstId> = function
-            .block_ids()
-            .flat_map(|b| function.block(b).all_insts().collect::<Vec<_>>())
-            .collect();
-        for inst in insts {
-            if !function.contains_inst(inst) {
+        for &inst in &order {
+            if is_removed[inst.index()] || !function.inst(inst).ty.is_first_class() {
                 continue;
+            }
+            if !subst.is_empty() {
+                let kind = &mut function.inst_mut(inst).kind;
+                kind.for_each_operand_mut(|v| *v = subst.resolve(*v));
             }
             let data = function.inst(inst);
-            if !data.ty.is_first_class() {
-                continue;
-            }
             if let Some(value) = fold_inst(function, &data.kind, data.ty) {
-                function.replace_all_uses(Value::Inst(inst), value);
-                function.remove_inst(inst);
-                folded += 1;
+                subst.replace(inst, value);
+                is_removed[inst.index()] = true;
+                removed.push(inst);
                 changed = true;
             }
         }
         if !changed {
-            return folded;
+            break;
         }
     }
+    function.remove_insts(&removed);
+    subst.apply(function);
+    removed.len()
 }
 
 fn const_int(function: &Function, value: Value) -> Option<(i64, u16)> {

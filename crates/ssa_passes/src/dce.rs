@@ -1,73 +1,97 @@
 //! Dead-code elimination: removes side-effect-free instructions whose results
 //! are never used, iterating to a fixed point.
 
-use ssa_ir::{Function, InstId, Value};
-use std::collections::{HashMap, HashSet};
+use ssa_ir::{EntityId, Function, InstId};
 
 /// Removes dead instructions. Returns the number of instructions removed.
+///
+/// Counts the uses of every result once, then retires instructions from a
+/// worklist: removing one decrements its operands' counts, and an operand
+/// whose count drops to zero is dead in turn. This removes exactly what
+/// rescanning until nothing changes would.
 pub fn eliminate_dead_code(function: &mut Function) -> usize {
-    let mut removed_total = 0;
-    loop {
-        // Count uses of every instruction result.
-        let mut use_counts: HashMap<InstId, usize> = HashMap::new();
-        let mut all: Vec<InstId> = Vec::new();
-        for block in function.block_ids() {
-            for inst in function.block(block).all_insts() {
-                all.push(inst);
-                function.inst(inst).kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        *use_counts.entry(d).or_insert(0) += 1;
-                    }
-                });
-            }
-        }
-        let dead: Vec<InstId> = all
-            .into_iter()
-            .filter(|&inst| {
-                let data = function.inst(inst);
-                data.ty.is_first_class()
-                    && !data.kind.has_side_effects()
-                    && use_counts.get(&inst).copied().unwrap_or(0) == 0
-            })
-            .collect();
-        if dead.is_empty() {
-            return removed_total;
-        }
-        for inst in dead {
-            function.remove_inst(inst);
-            removed_total += 1;
+    let cap = function.inst_capacity();
+    let mut uses = vec![0u32; cap];
+    let mut listed = vec![false; cap];
+    for block in function.block_ids() {
+        for inst in function.block(block).all_insts() {
+            listed[inst.index()] = true;
+            function.inst(inst).kind.for_each_operand(|v| {
+                // A dangling operand may name an id this function never
+                // allocated; it counts as a use of nothing.
+                if let Some(u) = v.as_inst().and_then(|d| uses.get_mut(d.index())) {
+                    *u += 1;
+                }
+            });
         }
     }
+    let removable = |function: &Function, inst: InstId| {
+        let data = function.inst(inst);
+        data.ty.is_first_class() && !data.kind.has_side_effects()
+    };
+    let mut worklist: Vec<InstId> = function
+        .block_ids()
+        .flat_map(|b| function.block(b).all_insts())
+        .filter(|&inst| uses[inst.index()] == 0 && removable(function, inst))
+        .collect();
+    let mut removed = Vec::new();
+    while let Some(inst) = worklist.pop() {
+        removed.push(inst);
+        function.inst(inst).kind.for_each_operand(|v| {
+            let Some(d) = v.as_inst().filter(|d| d.index() < cap) else {
+                return;
+            };
+            uses[d.index()] -= 1;
+            if uses[d.index()] == 0 && listed[d.index()] && removable(function, d) {
+                worklist.push(d);
+            }
+        });
+    }
+    function.remove_insts(&removed);
+    removed.len()
 }
 
 /// Removes blocks that are unreachable from the entry, fixing up phi-nodes in
 /// the surviving blocks. Returns the number of blocks removed.
 pub fn remove_unreachable_blocks(function: &mut Function) -> usize {
-    let reachable: HashSet<_> = function.reachable_blocks();
+    let Some(entry) = function.try_entry() else {
+        return 0;
+    };
+    let mut reachable = vec![false; function.block_capacity()];
+    reachable[entry.index()] = true;
+    let mut stack = vec![entry];
+    while let Some(block) = stack.pop() {
+        for succ in function.successor_iter(block) {
+            if !std::mem::replace(&mut reachable[succ.index()], true) {
+                stack.push(succ);
+            }
+        }
+    }
     let dead: Vec<_> = function
         .block_ids()
-        .filter(|b| !reachable.contains(b))
+        .filter(|b| !reachable[b.index()])
         .collect();
     if dead.is_empty() {
         return 0;
     }
-    let dead_set: HashSet<_> = dead.iter().copied().collect();
+    let mut is_dead = vec![false; function.block_capacity()];
+    for b in &dead {
+        is_dead[b.index()] = true;
+    }
     // Remove phi incomings that reference dead predecessors.
     for block in function.block_ids().collect::<Vec<_>>() {
-        if dead_set.contains(&block) {
+        if is_dead[block.index()] {
             continue;
         }
-        for phi in function.block(block).phis.clone() {
+        for i in 0..function.block(block).phis.len() {
+            let phi = function.block(block).phis[i];
             if let ssa_ir::InstKind::Phi { incomings } = &mut function.inst_mut(phi).kind {
-                incomings.retain(|(_, b)| !dead_set.contains(b));
+                incomings.retain(|(_, b)| !is_dead[b.index()]);
             }
         }
     }
-    let count = dead.len();
-    for block in dead {
-        function.remove_block(block);
-    }
-    count
+    function.remove_blocks(&dead);
+    dead.len()
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //!   (Cytron et al.), reused by SalSSA's SSA-repair stage,
 //! * [`simplify_cfg`], [`constant_fold`], [`dce`], [`phi_dedup`] — the
 //!   post-merge "Simplification" clean-up stage,
+//! * [`subst`] — deferred value replacement shared by those passes,
 //! * [`codesize`] — the object-size model used in place of a machine back end,
 //! * [`pass_manager`] — a timed clean-up pipeline used by the compile-time
 //!   experiments.
@@ -37,6 +38,7 @@ pub mod pass_manager;
 pub mod phi_dedup;
 pub mod reg2mem;
 pub mod simplify_cfg;
+pub mod subst;
 
 pub use codesize::{function_size_bytes, module_size_bytes, reduction_percent, Target};
 pub use mem2reg::{promote_function, Mem2RegStats};

@@ -14,8 +14,9 @@
 //! property that the merged stores with `select`-ed addresses violate in the
 //! paper's motivating example, which is why FMSA's promotion often fails.
 
+use crate::subst::Subst;
 use ssa_ir::dominators::{iterated_dominance_frontier, DomTree};
-use ssa_ir::{BlockId, Function, InstId, InstKind, Type, Value};
+use ssa_ir::{BlockId, EntityId, Function, InstId, InstKind, Type, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics returned by [`promote_function`].
@@ -97,16 +98,32 @@ fn slot_type(function: &Function, alloca: InstId) -> Type {
 /// Returns the number of phi-nodes inserted.
 pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
     let domtree = DomTree::compute(function);
-    let slot_set: HashSet<InstId> = slots.iter().copied().collect();
-    let slot_index: HashMap<InstId, usize> =
-        slots.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+    let slot_index = |slot_of: &[Option<usize>], v: Value| {
+        v.as_inst()
+            .and_then(|s| slot_of.get(s.index()).copied().flatten())
+    };
+    let mut slot_of: Vec<Option<usize>> = vec![None; function.inst_capacity()];
+    for (i, s) in slots.iter().enumerate() {
+        slot_of[s.index()] = Some(i);
+    }
+    // Every slot's users, in arena order, from one scan of the function.
+    let mut users: Vec<Vec<InstId>> = vec![Vec::new(); slots.len()];
+    for inst in function.inst_ids() {
+        function.inst(inst).kind.for_each_operand(|v| {
+            if let Some(idx) = slot_index(&slot_of, v) {
+                if users[idx].last() != Some(&inst) {
+                    users[idx].push(inst);
+                }
+            }
+        });
+    }
 
     // 1. Phi placement at iterated dominance frontiers of the defining blocks.
     let mut phis_for_slot: Vec<HashMap<BlockId, InstId>> = vec![HashMap::new(); slots.len()];
     let mut inserted = 0usize;
     for (idx, &slot) in slots.iter().enumerate() {
         let mut def_blocks: HashSet<BlockId> = HashSet::new();
-        for user in function.users_of(Value::Inst(slot)) {
+        for &user in &users[idx] {
             if matches!(function.inst(user).kind, InstKind::Store { .. }) {
                 def_blocks.insert(function.inst(user).block);
             }
@@ -126,15 +143,20 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
             inserted += 1;
         }
     }
-    let phi_owner: HashMap<InstId, usize> = phis_for_slot
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, m)| m.values().map(move |p| (*p, idx)))
-        .collect();
+    let mut phi_owner: Vec<Option<usize>> = vec![None; function.inst_capacity()];
+    for (idx, m) in phis_for_slot.iter().enumerate() {
+        for p in m.values() {
+            phi_owner[p.index()] = Some(idx);
+        }
+    }
 
-    // 2. Renaming walk over the dominator tree.
+    // 2. Renaming walk over the dominator tree. Loads are replaced through a
+    // deferred substitution; loads and stores are removed at the end.
     let entry = function.entry();
     let preds = function.predecessors();
+    let mut subst = Subst::new(function);
+    let mut is_removed = vec![false; function.inst_capacity()];
+    let mut removed: Vec<InstId> = Vec::new();
     let mut stack: Vec<(BlockId, Vec<Value>)> = vec![(
         entry,
         slots
@@ -142,44 +164,44 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
             .map(|s| Value::undef(slot_type(function, *s)))
             .collect(),
     )];
-    let mut visited: HashSet<BlockId> = HashSet::new();
+    let mut visited = vec![false; function.block_capacity()];
     while let Some((block, mut current)) = stack.pop() {
-        if !visited.insert(block) {
+        if std::mem::replace(&mut visited[block.index()], true) {
             continue;
         }
         // Phi results become the current value of their slot.
-        for &phi in &function.block(block).phis.clone() {
-            if let Some(&idx) = phi_owner.get(&phi) {
+        for &phi in &function.block(block).phis {
+            if let Some(idx) = phi_owner[phi.index()] {
                 current[idx] = Value::Inst(phi);
             }
         }
         // Walk the body: loads are replaced by the current value, stores update
         // the current value and are removed.
-        let body: Vec<InstId> = function.block(block).insts.clone();
-        for inst in body {
-            match function.inst(inst).kind.clone() {
-                InstKind::Load {
-                    ptr: Value::Inst(slot),
-                } if slot_set.contains(&slot) => {
-                    let idx = slot_index[&slot];
-                    function.replace_all_uses(Value::Inst(inst), current[idx]);
-                    function.remove_inst(inst);
+        for &inst in &function.block(block).insts {
+            match function.inst(inst).kind {
+                InstKind::Load { ptr } => {
+                    if let Some(idx) = slot_index(&slot_of, ptr) {
+                        subst.replace(inst, current[idx]);
+                        is_removed[inst.index()] = true;
+                        removed.push(inst);
+                    }
                 }
-                InstKind::Store {
-                    value,
-                    ptr: Value::Inst(slot),
-                } if slot_set.contains(&slot) => {
-                    let idx = slot_index[&slot];
-                    current[idx] = value;
-                    function.remove_inst(inst);
+                InstKind::Store { value, ptr } => {
+                    if let Some(idx) = slot_index(&slot_of, ptr) {
+                        current[idx] = subst.resolve(value);
+                        is_removed[inst.index()] = true;
+                        removed.push(inst);
+                    }
                 }
                 _ => {}
             }
         }
         // Fill in phi operands of the successors.
-        for succ in function.successors(block) {
-            for &phi in &function.block(succ).phis.clone() {
-                if let Some(&idx) = phi_owner.get(&phi) {
+        let succs: Vec<BlockId> = function.successor_iter(block).collect();
+        for succ in succs {
+            for i in 0..function.block(succ).phis.len() {
+                let phi = function.block(succ).phis[i];
+                if let Some(idx) = phi_owner[phi.index()] {
                     let value = current[idx];
                     if let InstKind::Phi { incomings } = &mut function.inst_mut(phi).kind {
                         if !incomings.iter().any(|(_, b)| *b == block) {
@@ -199,10 +221,10 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
     // unreachable-from-def paths get undef.
     for map in &phis_for_slot {
         for (&block, &phi) in map {
-            let expected: Vec<BlockId> = preds.get(&block).cloned().unwrap_or_default();
+            let expected: &[BlockId] = preds.get(&block).map_or(&[], Vec::as_slice);
             let phi_ty = function.inst(phi).ty;
             if let InstKind::Phi { incomings } = &mut function.inst_mut(phi).kind {
-                for p in expected {
+                for &p in expected {
                     if !incomings.iter().any(|(_, b)| *b == p) {
                         incomings.push((Value::undef(phi_ty), p));
                     }
@@ -213,23 +235,27 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
 
     // 4. Remove the now-dead slots. Accesses left in unreachable blocks (never
     // visited by the renaming walk) are cleaned up with undef.
-    for &slot in slots {
-        for user in function.users_of(Value::Inst(slot)) {
-            let ty = function.inst(user).ty;
-            match function.inst(user).kind {
-                InstKind::Load { .. } => {
-                    function.replace_all_uses(Value::Inst(user), Value::undef(ty));
-                    function.remove_inst(user);
-                }
-                InstKind::Store { .. } => function.remove_inst(user),
+    for (idx, &slot) in slots.iter().enumerate() {
+        for &user in &users[idx] {
+            if is_removed[user.index()] {
+                continue;
+            }
+            let data = function.inst(user);
+            match data.kind {
+                InstKind::Load { .. } => subst.replace(user, Value::undef(data.ty)),
+                InstKind::Store { .. } => {}
                 _ => unreachable!("slot classified as promotable has a non-memory user"),
             }
+            removed.push(user);
         }
-        function.remove_inst(slot);
+        removed.push(slot);
     }
+    function.remove_insts(&removed);
+    subst.apply(function);
 
-    // 5. Prune trivial phis introduced by over-eager placement.
-    crate::phi_dedup::simplify_trivial_phis(function);
+    // 5. Prune trivial phis introduced by over-eager placement. Promotion
+    // never touches terminators, so the dominator tree is still current.
+    crate::phi_dedup::simplify_trivial_phis_in(function, &mut Some(domtree));
     inserted
 }
 

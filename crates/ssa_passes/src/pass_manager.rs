@@ -42,11 +42,15 @@ impl PipelineReport {
 /// Runs the standard clean-up pipeline on one function: CFG simplification,
 /// constant folding, phi simplification and dead-code elimination, iterated
 /// twice (mirroring `-Os`-style clean-up after function merging).
+///
+/// Only CFG simplification edits terminators, so one dominator tree serves
+/// every phi pass until it changes the CFG.
 pub fn cleanup_function(function: &mut Function) {
+    let mut domtree = None;
     for _ in 0..2 {
-        simplify_cfg::simplify(function);
+        simplify_cfg::simplify_in(function, &mut domtree);
         constant_fold::fold_constants(function);
-        phi_dedup::simplify_phis(function);
+        phi_dedup::simplify_phis_in(function, &mut domtree);
         dce::eliminate_dead_code(function);
     }
 }

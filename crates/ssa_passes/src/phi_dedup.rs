@@ -6,36 +6,58 @@
 //! simplification stage (Section 4.1.1); this module provides that
 //! functionality for the reproduction.
 
-use ssa_ir::{Function, InstId, InstKind, Value};
-use std::collections::HashMap;
+use crate::subst::Subst;
+use ssa_ir::{BlockId, DomTree, EntityId, Function, InstId, InstKind, Type, Value};
+use std::collections::hash_map::{Entry, HashMap};
+
+/// A phi's incoming list: one `(value, predecessor)` per edge.
+type Incomings = Vec<(Value, BlockId)>;
 
 /// Replaces phis that have a single distinct incoming value (ignoring `undef`
 /// and self-references) with that value. Runs to a fixed point. Returns the
 /// number of phis removed.
+///
+/// The CFG does not change here, so the dominator tree (needed only for
+/// phis that skipped an incoming) is computed at most once, and the removed
+/// phis' uses are rewritten in one sweep at the end.
 pub fn simplify_trivial_phis(function: &mut Function) -> usize {
-    let mut removed = 0;
+    simplify_trivial_phis_in(function, &mut None)
+}
+
+/// [`simplify_trivial_phis`] with a dominator tree of the current CFG that
+/// the caller may already hold. When `domtree` is empty and the tree is
+/// needed, it is computed and left there for the caller's next pass over the
+/// same CFG.
+pub(crate) fn simplify_trivial_phis_in(
+    function: &mut Function,
+    domtree: &mut Option<DomTree>,
+) -> usize {
+    let mut subst = Subst::new(function);
+    let mut removed = Vec::new();
+    let mut is_removed = vec![false; function.inst_capacity()];
     loop {
         let mut changed = false;
-        let domtree = ssa_ir::DomTree::compute(function);
-        for block in function.block_ids().collect::<Vec<_>>() {
-            for phi in function.block(block).phis.clone() {
-                if !function.contains_inst(phi) {
+        for block in function.block_ids() {
+            for &phi in &function.block(block).phis {
+                if is_removed[phi.index()] {
                     continue;
                 }
-                let InstKind::Phi { incomings } = function.inst(phi).kind.clone() else {
+                let data = function.inst(phi);
+                let InstKind::Phi { incomings } = &data.kind else {
                     continue;
                 };
                 let mut unique: Option<Value> = None;
                 let mut saw_skipped = false;
                 let mut trivial = true;
-                for (value, _) in &incomings {
-                    if *value == Value::Inst(phi) || value.is_undef() {
+                for &(value, _) in incomings {
+                    let value = subst.resolve(value);
+                    if value == Value::Inst(phi) || value.is_undef() {
                         saw_skipped = true;
                         continue;
                     }
                     match unique {
-                        None => unique = Some(*value),
-                        Some(u) if u == *value => {}
+                        None => unique = Some(value),
+                        Some(u) if u == value => {}
                         Some(_) => {
                             trivial = false;
                             break;
@@ -52,16 +74,15 @@ pub fn simplify_trivial_phis(function: &mut Function) -> usize {
                 if saw_skipped {
                     if let Some(Value::Inst(def)) = unique {
                         let def_block = function.inst(def).block;
+                        let domtree = domtree.get_or_insert_with(|| DomTree::compute(function));
                         if !domtree.strictly_dominates(def_block, block) {
                             continue;
                         }
                     }
                 }
-                let ty = function.inst(phi).ty;
-                let replacement = unique.unwrap_or(Value::undef(ty));
-                function.replace_all_uses(Value::Inst(phi), replacement);
-                function.remove_inst(phi);
-                removed += 1;
+                subst.replace(phi, unique.unwrap_or(Value::undef(data.ty)));
+                is_removed[phi.index()] = true;
+                removed.push(phi);
                 changed = true;
             }
         }
@@ -69,37 +90,47 @@ pub fn simplify_trivial_phis(function: &mut Function) -> usize {
             break;
         }
     }
-    removed
+    function.remove_insts(&removed);
+    subst.apply(function);
+    removed.len()
 }
 
 /// Merges phis within the same block that have identical incoming lists.
 /// Returns the number of phis removed.
 pub fn dedupe_identical_phis(function: &mut Function) -> usize {
-    let mut removed = 0;
-    for block in function.block_ids().collect::<Vec<_>>() {
-        let mut seen: HashMap<String, InstId> = HashMap::new();
-        for phi in function.block(block).phis.clone() {
-            if !function.contains_inst(phi) {
-                continue;
-            }
-            let InstKind::Phi { mut incomings } = function.inst(phi).kind.clone() else {
+    let mut subst = Subst::new(function);
+    let mut removed = Vec::new();
+    let mut seen: HashMap<(Type, Incomings), InstId> = HashMap::new();
+    for block in function.block_ids() {
+        let phis = &function.block(block).phis;
+        if phis.len() < 2 {
+            continue;
+        }
+        seen.clear();
+        for &phi in phis {
+            let data = function.inst(phi);
+            let InstKind::Phi { incomings } = &data.kind else {
                 continue;
             };
-            incomings.sort_by_key(|(_, b)| *b);
-            let key = format!("{:?}:{:?}", function.inst(phi).ty, incomings);
-            match seen.get(&key) {
-                Some(&canonical) => {
-                    function.replace_all_uses(Value::Inst(phi), Value::Inst(canonical));
-                    function.remove_inst(phi);
-                    removed += 1;
+            let mut key: Incomings = incomings
+                .iter()
+                .map(|&(v, b)| (subst.resolve(v), b))
+                .collect();
+            key.sort_by_key(|(_, b)| *b);
+            match seen.entry((data.ty, key)) {
+                Entry::Occupied(canonical) => {
+                    subst.replace(phi, Value::Inst(*canonical.get()));
+                    removed.push(phi);
                 }
-                None => {
-                    seen.insert(key, phi);
+                Entry::Vacant(slot) => {
+                    slot.insert(phi);
                 }
             }
         }
     }
-    removed
+    function.remove_insts(&removed);
+    subst.apply(function);
+    removed.len()
 }
 
 /// Absorbs phis that agree on every predecessor *up to `undef`* into a single
@@ -110,54 +141,59 @@ pub fn dedupe_identical_phis(function: &mut Function) -> usize {
 /// its own phi with `undef` on the other function's paths. Returns the number
 /// of phis removed.
 pub fn absorb_undef_compatible_phis(function: &mut Function) -> usize {
-    let mut removed = 0;
+    let mut subst = Subst::new(function);
+    let mut removed = Vec::new();
+    let mut is_removed = vec![false; function.inst_capacity()];
     for block in function.block_ids().collect::<Vec<_>>() {
+        if function.block(block).phis.len() < 2 {
+            continue;
+        }
+        // After each absorption the scan restarts from the first pair, with
+        // the survivors' incomings brought up to date.
         loop {
-            let phis = function.block(block).phis.clone();
-            let mut merged_any = false;
-            'outer: for i in 0..phis.len() {
-                for j in (i + 1)..phis.len() {
-                    let (a, b) = (phis[i], phis[j]);
-                    if !function.contains_inst(a) || !function.contains_inst(b) {
-                        continue;
-                    }
-                    if function.inst(a).ty != function.inst(b).ty {
-                        continue;
-                    }
-                    let InstKind::Phi { incomings: ia } = function.inst(a).kind.clone() else {
-                        continue;
+            let phis: Vec<(InstId, Type, Incomings)> = function
+                .block(block)
+                .phis
+                .iter()
+                .filter(|p| !is_removed[p.index()])
+                .filter_map(|&p| {
+                    let data = function.inst(p);
+                    let InstKind::Phi { incomings } = &data.kind else {
+                        return None;
                     };
-                    let InstKind::Phi { incomings: ib } = function.inst(b).kind.clone() else {
-                        continue;
-                    };
-                    let Some(joined) = join_incomings(&ia, &ib) else {
-                        continue;
-                    };
-                    if let InstKind::Phi { incomings } = &mut function.inst_mut(a).kind {
-                        *incomings = joined;
+                    let resolved = incomings.iter().map(|&(v, b)| (subst.resolve(v), b));
+                    Some((p, data.ty, resolved.collect()))
+                })
+                .collect();
+            let pair = (0..phis.len()).find_map(|i| {
+                (i + 1..phis.len()).find_map(|j| {
+                    let ((a, ta, ia), (b, tb, ib)) = (&phis[i], &phis[j]);
+                    if ta != tb {
+                        return None;
                     }
-                    function.replace_all_uses(Value::Inst(b), Value::Inst(a));
-                    function.remove_inst(b);
-                    removed += 1;
-                    merged_any = true;
-                    break 'outer;
-                }
-            }
-            if !merged_any {
+                    join_incomings(ia, ib).map(|joined| (*a, *b, joined))
+                })
+            });
+            let Some((a, b, joined)) = pair else {
                 break;
+            };
+            if let InstKind::Phi { incomings } = &mut function.inst_mut(a).kind {
+                *incomings = joined;
             }
+            subst.replace(b, Value::Inst(a));
+            is_removed[b.index()] = true;
+            removed.push(b);
         }
     }
-    removed
+    function.remove_insts(&removed);
+    subst.apply(function);
+    removed.len()
 }
 
 /// Joins two incoming lists when they never disagree on a predecessor
 /// (treating `undef` as a wildcard). Returns `None` on conflict.
-fn join_incomings(
-    a: &[(Value, ssa_ir::BlockId)],
-    b: &[(Value, ssa_ir::BlockId)],
-) -> Option<Vec<(Value, ssa_ir::BlockId)>> {
-    let mut out: Vec<(Value, ssa_ir::BlockId)> = a.to_vec();
+fn join_incomings(a: &[(Value, BlockId)], b: &[(Value, BlockId)]) -> Option<Incomings> {
+    let mut out: Incomings = a.to_vec();
     for (vb, pred) in b {
         match out.iter_mut().find(|(_, p)| p == pred) {
             Some((va, _)) => {
@@ -183,9 +219,15 @@ fn join_incomings(
 /// SalSSA merger applies explicitly, and keeping it separate preserves the
 /// SalSSA-NoPC ablation of the paper's Figure 20.
 pub fn simplify_phis(function: &mut Function) -> usize {
+    simplify_phis_in(function, &mut None)
+}
+
+/// [`simplify_phis`] sharing the caller's dominator tree of the current CFG
+/// (see [`simplify_trivial_phis_in`]); phi passes never change the CFG.
+pub(crate) fn simplify_phis_in(function: &mut Function, domtree: &mut Option<DomTree>) -> usize {
     let mut total = 0;
     loop {
-        let n = simplify_trivial_phis(function) + dedupe_identical_phis(function);
+        let n = simplify_trivial_phis_in(function, domtree) + dedupe_identical_phis(function);
         total += n;
         if n == 0 {
             return total;
