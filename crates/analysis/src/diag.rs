@@ -8,6 +8,7 @@
 //! unified table.
 
 use std::fmt;
+use telemetry::json_escape;
 
 /// Severity of a diagnostic, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -266,27 +267,6 @@ impl DenySet {
             Severity::Lint => self.codes.contains(d.code),
         }
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal (this crate sits
-/// below `xmerge` in the dependency graph, so it carries its own copy).
-pub fn json_escape(s: &str) -> String {
-    use fmt::Write;
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

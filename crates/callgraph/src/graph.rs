@@ -299,41 +299,6 @@ impl CallGraph {
             edges,
         }
     }
-
-    /// Module-index pairs linked by a cross-module call edge (deduplicated,
-    /// deterministic order) — one of the inputs of the region partition.
-    pub fn cross_module_links(&self) -> Vec<(usize, usize)> {
-        let mut links = BTreeSet::new();
-        for e in &self.edges {
-            let (a, b) = (self.nodes[e.caller].module, self.nodes[e.callee].module);
-            if a != b {
-                links.insert((a.min(b), a.max(b)));
-            }
-        }
-        links.into_iter().collect()
-    }
-
-    /// Module-index pairs that define the same externally visible symbol
-    /// (ODR duplicates) — modules the merge pipeline must keep in one region
-    /// because committing in one can constrain the other's hazard rules.
-    pub fn shared_definition_links(&self) -> Vec<(usize, usize)> {
-        let mut sites: HashMap<&str, Vec<usize>> = HashMap::new();
-        for node in &self.nodes {
-            if node.linkage == Linkage::External {
-                let mods = sites.entry(&node.name).or_default();
-                if mods.last() != Some(&node.module) {
-                    mods.push(node.module);
-                }
-            }
-        }
-        let mut links = BTreeSet::new();
-        for mods in sites.values() {
-            for pair in mods.windows(2) {
-                links.insert((pair[0].min(pair[1]), pair[0].max(pair[1])));
-            }
-        }
-        links.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -448,16 +413,5 @@ mod tests {
         for (caller_c, callee_c) in &cond.edges {
             assert!(caller_c > callee_c, "{caller_c} -> {callee_c}");
         }
-    }
-
-    #[test]
-    fn region_link_inputs_cover_calls_and_shared_definitions() {
-        let g = graph();
-        assert_eq!(g.cross_module_links(), vec![(0, 1)]);
-        assert_eq!(
-            g.shared_definition_links(),
-            vec![(1, 2)],
-            "b and c both define @shared externally"
-        );
     }
 }

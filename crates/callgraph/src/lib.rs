@@ -15,11 +15,7 @@
 //!   internal symbols never captured across modules), Tarjan **SCC
 //!   condensation**, and per-function [`Locality`] summaries whose
 //!   [`Locality::coupling`] is the placement cost the cross-module
-//!   host-selection policy minimizes;
-//! * [`regions`] — **module region partitioning**: connected components over
-//!   cross-module call edges, shared external definitions and candidate
-//!   pairs, giving the pipeline independently committable sub-programs it can
-//!   plan in parallel.
+//!   host-selection policy minimizes.
 //!
 //! ## Example
 //!
@@ -43,8 +39,6 @@
 
 pub mod graph;
 pub mod index;
-pub mod regions;
 
 pub use graph::{CallEdge, CallGraph, CallNode, Condensation, Locality};
 pub use index::{CallIndexReuse, CorpusCallIndex, FunctionCalls, ModuleCalls};
-pub use regions::module_regions;

@@ -57,5 +57,6 @@ pub use faultinject::{arm as arm_fault, disarm_all as disarm_faults, should_fail
 pub use metrics::{registry, MetricValue, MetricsSnapshot, Registry};
 pub use profile::{Profile, ProfileNode};
 pub use span::{
-    set_tracing, span, span_with, take_trace, timed_span, tracing_enabled, AllocDelta, Trace,
+    json_escape, set_tracing, span, span_with, take_trace, timed_span, tracing_enabled, AllocDelta,
+    Trace,
 };

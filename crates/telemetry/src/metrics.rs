@@ -82,12 +82,22 @@ struct HistogramInner {
 
 /// Distribution summary: count / sum / min / max plus p50/p90/p99 estimates
 /// from power-of-two buckets (bucket-midpoint accuracy — within 2x of the
-/// true quantile; callers clamp signed quantities, e.g. profit, to zero or
-/// record the magnitude).
+/// true quantile, and never outside the observed [min, max]; callers clamp
+/// signed quantities, e.g. profit, to zero or record the magnitude).
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
+    fn new() -> Histogram {
+        Histogram(Arc::new(HistogramInner {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }))
+    }
+
     pub fn record(&self, v: u64) {
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
@@ -104,7 +114,13 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        let quantile = |q: f64| -> u64 {
+        let min = if count == 0 {
+            0
+        } else {
+            self.0.min.load(Ordering::Relaxed)
+        };
+        let max = self.0.max.load(Ordering::Relaxed);
+        let bucket_quantile = |q: f64| -> u64 {
             let total: u64 = buckets.iter().sum();
             if total == 0 {
                 return 0;
@@ -120,15 +136,15 @@ impl Histogram {
             }
             bucket_midpoint(NUM_BUCKETS - 1)
         };
+        // A bucket midpoint can lie outside the observed range (one sample of
+        // 144 sits in [128, 256), midpoint 191), so clamp it to [min, max].
+        // `max` wins if a concurrent `record` left min above max.
+        let quantile = |q: f64| bucket_quantile(q).max(min).min(max);
         HistogramSummary {
             count,
             sum: self.0.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.0.min.load(Ordering::Relaxed)
-            },
-            max: self.0.max.load(Ordering::Relaxed),
+            min,
+            max,
             p50: quantile(0.50),
             p90: quantile(0.90),
             p99: quantile(0.99),
@@ -142,7 +158,8 @@ pub struct HistogramSummary {
     pub sum: u64,
     pub min: u64,
     pub max: u64,
-    /// Estimated median (power-of-two-bucket midpoint).
+    /// Estimated median (power-of-two-bucket midpoint clamped to
+    /// [`Self::min`, `Self::max`]).
     pub p50: u64,
     /// Estimated 90th percentile.
     pub p90: u64,
@@ -208,15 +225,10 @@ impl Registry {
     /// Get or create the histogram with this name.
     pub fn histogram(&self, name: &'static str) -> Histogram {
         let mut m = self.metrics.lock().unwrap();
-        match m.entry(name).or_insert_with(|| {
-            Metric::Histogram(Histogram(Arc::new(HistogramInner {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            })))
-        }) {
+        match m
+            .entry(name)
+            .or_insert_with(|| Metric::Histogram(Histogram::new()))
+        {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
@@ -475,6 +487,39 @@ mod tests {
         let json = registry().snapshot().to_json();
         assert!(json.contains("\"p50\":0,\"p90\":0,\"p99\":0"), "{json}");
         assert!(registry().snapshot().render_table().contains("p99=0"));
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_range() {
+        // One sample of 144: its bucket midpoint (191) lies above the max.
+        let h = Histogram::new();
+        h.record(144);
+        let s = h.summary();
+        assert_eq!(
+            (s.min, s.p50, s.p90, s.p99, s.max),
+            (144, 144, 144, 144, 144)
+        );
+        // Randomized sample sets of varied sizes and magnitudes.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let h = Histogram::new();
+            let samples = 1 + next() % 64;
+            let bits = 1 + next() % 64;
+            for _ in 0..samples {
+                h.record(next() >> (64 - bits));
+            }
+            let s = h.summary();
+            assert!(
+                s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
+                "{s:?}"
+            );
+        }
     }
 
     #[test]

@@ -312,7 +312,10 @@ pub fn take_trace() -> Trace {
     Trace { threads }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal: quotes,
+/// backslashes and control characters are escaped, everything else
+/// (non-ASCII included) passes through unchanged.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -473,5 +476,16 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""), "{json}");
         assert!(json.contains("\"cat\":\"test\""), "{json}");
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{json}");
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape(r#"a"b"#), r#"a\"b"#);
+        assert_eq!(json_escape("a\\b"), r"a\\b");
+        assert_eq!(json_escape("a\nb\rc\td"), r"a\nb\rc\td");
+        assert_eq!(json_escape("\u{1}"), r"\u0001");
+        assert_eq!(json_escape("\u{1f}"), r"\u001f");
+        assert_eq!(json_escape("größe→λ"), "größe→λ");
+        assert_eq!(json_escape("plain.name-ok"), "plain.name-ok");
     }
 }

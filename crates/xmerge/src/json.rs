@@ -3,31 +3,15 @@
 //! Hand-rolled JSON emission (the build environment vendors no serde): the
 //! `salssa report --json` and `salssa xmerge --json` outputs feed the
 //! BENCH_*.json trajectory tracking, so the schema here is append-only —
-//! add fields, never rename them.
+//! add fields, never rename them. Retiring a field bumps the object's
+//! `"schema"` version instead of emitting it as a permanent zero: the
+//! `xmerge` object is at schema 2, which retired the per-round region
+//! counts of the removed region-parallel planner.
 
 use crate::pipeline::CorpusMergeReport;
 use salssa::{ModuleMergeReport, PlanStats};
-use std::fmt::Write;
 use std::time::Duration;
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use telemetry::json_escape;
 
 fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
@@ -280,9 +264,8 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
             )
         })
         .collect();
-    let region_counts: Vec<String> = report.region_counts.iter().map(usize::to_string).collect();
     format!(
-        r#"{{"kind":"xmerge","modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"region_counts":[{}],"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
+        r#"{{"kind":"xmerge","schema":2,"modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
         report.modules,
         report.functions,
         report.candidates,
@@ -316,7 +299,6 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
         report.host_policy,
         report.forced_cross_edges,
         report.saved_cross_edges,
-        region_counts.join(","),
         report.call_index_reuse.reused,
         report.call_index_reuse.refreshed,
         alignment_json(
@@ -347,15 +329,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escaping_covers_quotes_and_control_characters() {
-        assert_eq!(json_escape(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(json_escape("a\\b"), r"a\\b");
-        assert_eq!(json_escape("a\nb\t"), r"a\nb\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain.name-ok"), "plain.name-ok");
-    }
-
-    #[test]
     fn corpus_json_is_well_formed_enough_to_eyeball() {
         let report = CorpusMergeReport {
             modules: 2,
@@ -364,7 +337,8 @@ mod tests {
         };
         let json = corpus_report_json(&report);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(r#""kind":"xmerge""#));
+        assert!(json.starts_with(r#"{"kind":"xmerge","schema":2,"#));
+        assert!(!json.contains("region_counts"));
         assert!(json.contains(r#""modules":2"#));
         assert!(json.contains(r#""committed":[]"#));
         assert!(json.contains(r#""band":{"runs":0,"saturations":0}"#));

@@ -34,26 +34,19 @@
 //! nothing or the round cap is reached.
 //!
 //! Every round also (incrementally) rebuilds the whole-program **call graph**
-//! (the `callgraph` crate) and uses it two ways:
-//!
-//! * **host selection** ([`XMergeConfig::host_policy`]): under
-//!   [`HostPolicy::CallGraph`] each candidate pair is re-oriented through the
-//!   planner's placement hook so the member with *lower* static intra-module
-//!   coupling (callers + callees that would be forced into cross-module hops
-//!   by moving its body) donates, minimizing the call edges the commit forces
-//!   cross-module; ties fall back to the size rule. Every commit records the
-//!   forced and saved edge counts.
-//! * **region-parallel planning** ([`XMergeConfig::region_parallel`]): the
-//!   corpus is partitioned into connected regions — modules linked by
-//!   cross-module calls, shared externally visible definitions, or candidate
-//!   pairs — and each region runs the speculative score/commit loop
-//!   independently on worker threads. Regions share no symbols, so a
-//!   single-region corpus commits bit-identically to the sequential
-//!   whole-corpus plan.
+//! (the `callgraph` crate). It drives **host selection**
+//! ([`XMergeConfig::host_policy`]): under [`HostPolicy::CallGraph`] each
+//! candidate pair is re-oriented through the planner's placement hook so the
+//! member with *lower* static intra-module coupling (callers + callees that
+//! would be forced into cross-module hops by moving its body) donates,
+//! minimizing the call edges the commit forces cross-module; ties fall back to
+//! the size rule. Every commit records the forced and saved edge counts. Its
+//! SCC condensation also decides which pre-scanned hazard verdicts a commit
+//! invalidates.
 
 use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
-use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
+use callgraph::{CallGraph, CallIndexReuse, Condensation, CorpusCallIndex, Locality};
 use fm_align::MinHash;
 use rayon::prelude::*;
 use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
@@ -69,7 +62,7 @@ use ssa_passes::codesize::function_size_bytes;
 use ssa_passes::module_size_bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How the cross-module pipeline decides which module hosts a merged body.
@@ -146,11 +139,6 @@ pub struct XMergeConfig {
     pub fixpoint: Option<FixpointConfig>,
     /// How merged bodies are placed (defaults to the original size rule).
     pub host_policy: HostPolicy,
-    /// Plan and commit independent call-graph regions on worker threads.
-    /// Off by default: the global plan commits in one whole-corpus profit
-    /// order, and region-parallel runs concatenate per-region profit orders
-    /// instead (identical commits whenever the corpus is a single region).
-    pub region_parallel: bool,
     /// Paranoid verification: capture the corpus's diagnostic baseline with
     /// the `analysis` engine after module-name uniquification, re-analyze
     /// every mutated module after each committed cross-module operation (and
@@ -187,7 +175,6 @@ impl XMergeConfig {
             check_semantics: false,
             fixpoint: None,
             host_policy: HostPolicy::default(),
-            region_parallel: false,
             paranoid: false,
             prefilter: true,
             oracle_fuel: None,
@@ -210,12 +197,6 @@ impl XMergeConfig {
     /// Selects the host-placement policy.
     pub fn with_host_policy(mut self, policy: HostPolicy) -> XMergeConfig {
         self.host_policy = policy;
-        self
-    }
-
-    /// Enables region-parallel planning and committing.
-    pub fn with_region_parallel(mut self, on: bool) -> XMergeConfig {
-        self.region_parallel = on;
         self
     }
 
@@ -338,9 +319,6 @@ pub struct CorpusMergeReport {
     /// Static call edges the host-selection policy saved versus flipped
     /// placements, summed over all commits.
     pub saved_cross_edges: u64,
-    /// Independent call-graph regions per round, in round order (always
-    /// recorded; only exploited with [`XMergeConfig::region_parallel`]).
-    pub region_counts: Vec<usize>,
     /// Call-site index reuse of the incremental per-round rebuilds.
     pub call_index_reuse: CallIndexReuse,
     /// Peak *live* alignment DP bytes over every scored pair (cross and
@@ -509,8 +487,8 @@ impl fmt::Display for CorpusMergeReport {
         }
         writeln!(
             f,
-            "  placement: {} policy, {} call edges forced cross-module ({} saved); regions per round: {:?}",
-            self.host_policy, self.forced_cross_edges, self.saved_cross_edges, self.region_counts
+            "  placement: {} policy, {} call edges forced cross-module ({} saved)",
+            self.host_policy, self.forced_cross_edges, self.saved_cross_edges
         )?;
         writeln!(
             f,
@@ -579,28 +557,11 @@ pub(crate) struct ScoredCross {
 /// module index, and the two function names.
 pub(crate) type CrossKey = (usize, usize, String, String);
 
-/// Discovery-time fingerprint distance per candidate pair, keyed by module
-/// *names* (stable across the region remapping, unlike module indices) with
-/// both orientations inserted so the host-policy placement flip still finds
-/// its hint. The distance only sizes alignment bands — losing an entry can
-/// never change a result, only its cost.
-type DistanceMap = HashMap<(String, String, String, String), u64>;
-
-/// Per-function static intra-module coupling, split by side: a *merged*
-/// donor forces both its same-module callers (they now hop out through the
-/// thunk) and its body's same-module callees (hopped back to from the host)
-/// cross-module, while an *ODR-deduped* donor forces only its callers — the
-/// deleted body's callee edges vanish with it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Coupling {
-    /// Same-module call sites targeting the function (self-calls excluded).
-    callers: u32,
-    /// The function's own call sites targeting same-module definitions.
-    callees: u32,
-}
-
-/// Per-function coupling, module name → function name.
-type CouplingMap = HashMap<String, HashMap<String, Coupling>>;
+/// Discovery-time fingerprint distance per candidate pair, with both
+/// orientations inserted so the host-policy placement flip still finds its
+/// hint. The distance only sizes alignment bands — losing an entry can never
+/// change a result, only its cost.
+type DistanceMap = HashMap<CrossKey, u64>;
 
 /// A linked oracle *before* program with its rename map; `None` records that
 /// the (host, donor) pair carries a pre-existing duplicate-symbol conflict
@@ -608,21 +569,16 @@ type CouplingMap = HashMap<String, HashMap<String, Coupling>>;
 /// cache share one copy.
 type OracleEntry = Option<Arc<(Module, LinkRenames)>>;
 
-/// The cross-round oracle carry cache: before-programs keyed by the *names
-/// and* content hashes of the (host, donor) modules. Names matter because
-/// the cached [`LinkRenames`] keys internal entry points by module name —
-/// two same-content modules under different names (the ODR-duplicate case)
-/// must not share an entry. A commit changes the mutated module's hash, so
-/// stale entries become unreachable by construction; [`run_pipeline`] prunes
-/// entries whose (name, hash) left the corpus after every round. Shared
-/// behind a mutex so region-parallel rounds (which touch disjoint module
-/// pairs) use one cache.
-type OracleCarry = Mutex<HashMap<(String, u64, String, u64), OracleEntry>>;
-
-/// Function → call-graph condensation component, keyed module name →
-/// function name (names survive the region remapping, unlike module
-/// indices).
-type ComponentMap = HashMap<String, HashMap<String, usize>>;
+/// The cross-round oracle carry cache: before-programs keyed by the module
+/// indices *and* content hashes of the (host, donor) pair. The index matters
+/// because the cached [`LinkRenames`] keys internal entry points by module
+/// name — two same-content modules under different names (the ODR-duplicate
+/// case) must not share an entry; commits never rename a module, so an index
+/// names one module for the whole run. A commit changes the mutated module's
+/// hash, so stale entries become unreachable by construction;
+/// [`run_pipeline`] prunes entries whose (index, hash) left the corpus after
+/// every round.
+type OracleCarry = HashMap<(usize, u64, usize, u64), OracleEntry>;
 
 /// The cross-module [`CandidateSource`]: LSH-shard discovery provides the
 /// candidates, [`score_cross`] the scores, and the import/merge/thunk commit
@@ -639,12 +595,12 @@ struct CrossSource<'a> {
     /// Discovery output, in discovery order (the speculative key set),
     /// size-rule oriented; the placement hook applies the host policy.
     resolved: Vec<CrossKey>,
-    /// Per-function intra-module coupling (static caller + callee sites that
-    /// moving the body would force cross-module), keyed module name →
-    /// function name — from the round's call-graph locality summaries.
-    /// Nested so the placement hot path looks up by `&str` without
-    /// allocating.
-    coupling: Arc<CouplingMap>,
+    /// The call graph at round start. Its node ids index `locality` and
+    /// `component_of`.
+    graph: CallGraph,
+    /// Per-node locality summaries: the static call sites that moving a
+    /// body would force cross-module, which the host policy places by.
+    locality: Vec<Locality>,
     /// Profit-ordered commit schedule: key, profit, odr_dedup.
     schedule: VecDeque<(CrossKey, i64, bool)>,
     consumed: HashSet<(usize, String)>,
@@ -658,16 +614,16 @@ struct CrossSource<'a> {
     /// before linking.
     oracle_before: HashMap<(usize, usize), OracleEntry>,
     /// The cross-round carry cache (see [`OracleCarry`]).
-    carried: &'a OracleCarry,
+    carried: &'a mut OracleCarry,
     /// Whole-program links performed for the oracle (before + after sides).
     oracle_links: usize,
     /// Before-programs served from the carry cache instead of re-linking.
     oracle_carried: usize,
-    /// Function → condensation component of the round's call graph, and the
+    /// Per-node condensation component of the round's call graph, and the
     /// reverse (callee component → caller components) edges used to
     /// propagate taint to everything that could depend on a mutated module.
-    components: Arc<ComponentMap>,
-    comp_callers: Arc<Vec<Vec<usize>>>,
+    component_of: Vec<usize>,
+    comp_callers: Vec<Vec<usize>>,
     /// Hazard verdicts pre-scanned (in parallel) at plan time; valid for a
     /// pair as long as neither endpoint's condensation component is tainted.
     hazard_cache: HashMap<CrossKey, bool>,
@@ -682,11 +638,11 @@ struct CrossSource<'a> {
     align_peak_full: u64,
     align_cells: u64,
     align_trimmed: u64,
-    /// Paranoid monitor shared across the run (and across region workers,
-    /// hence the mutex); `None` unless [`XMergeConfig::paranoid`] is set.
-    paranoid: Option<&'a Mutex<analysis::ParanoidMonitor>>,
+    /// Paranoid monitor shared across the run; `None` unless
+    /// [`XMergeConfig::paranoid`] is set.
+    paranoid: Option<&'a mut analysis::ParanoidMonitor>,
     /// Discovery-time fingerprint distances, for band sizing.
-    distances: Arc<DistanceMap>,
+    distances: DistanceMap,
 }
 
 impl<'a> CrossSource<'a> {
@@ -696,12 +652,12 @@ impl<'a> CrossSource<'a> {
         config: &'a XMergeConfig,
         names: Vec<String>,
         resolved: Vec<CrossKey>,
-        coupling: Arc<CouplingMap>,
-        carried: &'a OracleCarry,
-        components: Arc<ComponentMap>,
-        comp_callers: Arc<Vec<Vec<usize>>>,
-        paranoid: Option<&'a Mutex<analysis::ParanoidMonitor>>,
-        distances: Arc<DistanceMap>,
+        distances: DistanceMap,
+        graph: CallGraph,
+        locality: Vec<Locality>,
+        condensation: Condensation,
+        carried: &'a mut OracleCarry,
+        paranoid: Option<&'a mut analysis::ParanoidMonitor>,
     ) -> CrossSource<'a> {
         // Where each symbol is defined, with linkage, for the hazard rules.
         let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
@@ -713,13 +669,18 @@ impl<'a> CrossSource<'a> {
                     .push((mi, f.linkage));
             }
         }
+        let mut comp_callers = vec![Vec::new(); condensation.components.len()];
+        for &(caller, callee) in &condensation.edges {
+            comp_callers[callee].push(caller);
+        }
         CrossSource {
             modules,
             config,
             names,
             def_sites,
             resolved,
-            coupling,
+            graph,
+            locality,
             schedule: VecDeque::new(),
             consumed: HashSet::new(),
             attempts: 0,
@@ -729,7 +690,7 @@ impl<'a> CrossSource<'a> {
             carried,
             oracle_links: 0,
             oracle_carried: 0,
-            components,
+            component_of: condensation.component_of,
             comp_callers,
             hazard_cache: HashMap::new(),
             tainted: HashSet::new(),
@@ -746,30 +707,21 @@ impl<'a> CrossSource<'a> {
     /// The discovery-time fingerprint distance of a (placed) pair, if the
     /// round's LSH pass produced one.
     fn distance_of(&self, key: &CrossKey) -> Option<u64> {
-        self.distances
-            .get(&(
-                self.names[key.0].clone(),
-                key.2.clone(),
-                self.names[key.1].clone(),
-                key.3.clone(),
-            ))
-            .copied()
+        self.distances.get(key).copied()
     }
 
     /// The static call edges forced cross-module by making `name`@`module`
     /// the donor side: callers + callees for a genuine merge (the body
     /// moves), callers only for an ODR dedup (the body is deleted).
     fn donor_cost(&self, module: usize, name: &str, dedup: bool) -> u32 {
-        let c = self
-            .coupling
-            .get(&self.names[module])
-            .and_then(|functions| functions.get(name))
-            .copied()
-            .unwrap_or_default();
+        let Some(node) = self.graph.node_id(module, name) else {
+            return 0;
+        };
+        let locality = &self.locality[node];
         if dedup {
-            c.callers
+            locality.intra_callers
         } else {
-            c.callers + c.callees
+            locality.coupling()
         }
     }
 
@@ -810,18 +762,12 @@ impl<'a> CrossSource<'a> {
             return;
         }
         let carry_key = (
-            self.names[host].clone(),
+            host,
             self.modules[host].content_hash(),
-            self.names[donor].clone(),
+            donor,
             self.modules[donor].content_hash(),
         );
-        let carried = self
-            .carried
-            .lock()
-            .expect("oracle carry cache poisoned")
-            .get(&carry_key)
-            .cloned();
-        if let Some(entry) = carried {
+        if let Some(entry) = self.carried.get(&carry_key).cloned() {
             self.oracle_carried += 1;
             self.oracle_before.insert(key, entry);
             return;
@@ -831,10 +777,7 @@ impl<'a> CrossSource<'a> {
             link_modules_with_renames([&self.modules[host], &self.modules[donor]], "pair.before")
                 .ok()
                 .map(Arc::new);
-        self.carried
-            .lock()
-            .expect("oracle carry cache poisoned")
-            .insert(carry_key, linked.clone());
+        self.carried.insert(carry_key, linked.clone());
         self.oracle_before.insert(key, linked);
     }
 
@@ -843,11 +786,12 @@ impl<'a> CrossSource<'a> {
     /// by a commit. Pre-scanned hazard verdicts of pairs whose endpoints
     /// land in a tainted component are discarded.
     fn taint_module(&mut self, module: usize) {
-        let Some(functions) = self.components.get(&self.names[module]) else {
-            return;
-        };
-        let mut queue: Vec<usize> = functions
-            .values()
+        // Nodes are grouped by module in corpus order.
+        let nodes = &self.graph.nodes;
+        let first = nodes.partition_point(|n| n.module < module);
+        let end = nodes.partition_point(|n| n.module <= module);
+        let mut queue: Vec<usize> = self.component_of[first..end]
+            .iter()
             .copied()
             .filter(|c| self.tainted.insert(*c))
             .collect();
@@ -867,12 +811,8 @@ impl<'a> CrossSource<'a> {
     /// mutates).
     fn reusable_hazard(&self, key: &CrossKey, s: &ScoredCross) -> Option<bool> {
         let verdict = *self.hazard_cache.get(key)?;
-        let component = |module: usize, name: &str| {
-            self.components
-                .get(&self.names[module])
-                .and_then(|functions| functions.get(name))
-                .copied()
-        };
+        let component =
+            |module: usize, name: &str| Some(self.component_of[self.graph.node_id(module, name)?]);
         let c1 = component(s.host, &s.f1)?;
         let c2 = component(s.donor, &s.f2)?;
         (!self.tainted.contains(&c1) && !self.tainted.contains(&c2)).then_some(verdict)
@@ -1199,10 +1139,9 @@ impl CandidateSource for CrossSource<'_> {
             self.consumed.insert((s.host, s.f1.clone()));
         }
         self.consumed.insert((s.donor, s.f2.clone()));
-        if let Some(paranoid) = self.paranoid {
+        if let Some(monitor) = self.paranoid.as_deref_mut() {
             // Observational only: re-analyze the two mutated modules. The
             // whole-program passes re-run once at the end of the pipeline.
-            let mut monitor = paranoid.lock().unwrap();
             monitor.check_module(&self.modules[s.host]);
             monitor.check_module(&self.modules[s.donor]);
         }
@@ -1281,13 +1220,13 @@ fn run_pipeline(
     // Oracle before-programs carried across fixpoint rounds for module pairs
     // no commit touched (content-hash keyed; pruned to live hashes per
     // round).
-    let oracle_carry: OracleCarry = Mutex::new(HashMap::new());
+    let mut oracle_carry = OracleCarry::new();
     uniquify_module_names(modules);
     // The paranoid baseline is captured after name uniquification so its
     // fingerprints use the same module names every later check sees.
-    let paranoid_monitor: Option<Mutex<analysis::ParanoidMonitor>> = config
+    let mut paranoid_monitor: Option<analysis::ParanoidMonitor> = config
         .paranoid
-        .then(|| Mutex::new(analysis::ParanoidMonitor::for_corpus(modules)));
+        .then(|| analysis::ParanoidMonitor::for_corpus(modules));
     let target = config.options.target;
     let before: Vec<(String, usize, usize)> = modules
         .iter()
@@ -1359,18 +1298,10 @@ fn run_pipeline(
         // The discovery-time distance of every pair, for alignment-band
         // sizing; both orientations so the placement flip still hits.
         let mut distances = DistanceMap::new();
-        for (pair, key) in candidates.iter().zip(&resolved) {
-            let (hn, f1, dn, f2) = (&names[key.0], &key.2, &names[key.1], &key.3);
-            distances.insert(
-                (hn.clone(), f1.clone(), dn.clone(), f2.clone()),
-                pair.distance,
-            );
-            distances.insert(
-                (dn.clone(), f2.clone(), hn.clone(), f1.clone()),
-                pair.distance,
-            );
+        for (pair, (h, d, f1, f2)) in candidates.iter().zip(&resolved) {
+            distances.insert((*h, *d, f1.clone(), f2.clone()), pair.distance);
+            distances.insert((*d, *h, f2.clone(), f1.clone()), pair.distance);
         }
-        let distances = Arc::new(distances);
         if telemetry::decisions_enabled() {
             for (pair, key) in candidates.iter().zip(&resolved) {
                 telemetry::record_decision(
@@ -1391,98 +1322,58 @@ fn run_pipeline(
         }
 
         // Re-build the whole-program call graph (unchanged modules reuse
-        // their call-site summaries) and derive the per-function coupling the
-        // host policy places by, plus the round's independent regions.
+        // their call-site summaries) with the per-function locality the host
+        // policy places by and the SCC condensation that gates hazard
+        // re-scans.
         let callgraph_span = telemetry::timed_span("xmerge.callgraph");
         let (round_calls, call_reuse) =
             CorpusCallIndex::build_incremental(modules, call_index.as_ref());
         let graph = CallGraph::resolve(&round_calls);
         let locality = graph.locality();
-        let mut coupling = CouplingMap::new();
-        for (i, n) in graph.nodes.iter().enumerate() {
-            coupling
-                .entry(graph.modules[n.module].clone())
-                .or_default()
-                .insert(
-                    n.name.clone(),
-                    Coupling {
-                        callers: locality[i].intra_callers,
-                        callees: locality[i].intra_callees,
-                    },
-                );
-        }
-        let coupling = Arc::new(coupling);
-        // The SCC condensation of the same graph gates hazard re-scans: a
-        // pre-scanned verdict stays valid while the pair's components are
-        // untouched by commits.
         let condensation = graph.condensation();
-        let mut components = ComponentMap::new();
-        for (i, n) in graph.nodes.iter().enumerate() {
-            components
-                .entry(graph.modules[n.module].clone())
-                .or_default()
-                .insert(n.name.clone(), condensation.component_of[i]);
-        }
-        let components = Arc::new(components);
-        let mut comp_callers: Vec<Vec<usize>> = vec![Vec::new(); condensation.components.len()];
-        for &(caller, callee) in &condensation.edges {
-            comp_callers[callee].push(caller);
-        }
-        let comp_callers = Arc::new(comp_callers);
-        let mut links: Vec<(usize, usize)> = graph.cross_module_links();
-        links.extend(graph.shared_definition_links());
-        links.extend(resolved.iter().map(|(h, d, _, _)| (*h.min(d), *h.max(d))));
-        let regions = module_regions(modules.len(), links);
         report.callgraph_time += callgraph_span.stop();
         report.call_index_reuse.absorb(call_reuse);
-        report.region_counts.push(regions.len());
 
-        let outcome = if config.region_parallel && regions.len() > 1 {
-            run_round_in_regions(
-                modules,
-                config,
-                &names,
-                resolved,
-                &coupling,
-                &regions,
-                &oracle_carry,
-                &components,
-                &comp_callers,
-                paranoid_monitor.as_ref(),
-                &distances,
-            )
-        } else {
-            run_cross_round(
-                modules,
-                config,
-                names.clone(),
-                resolved,
-                coupling,
-                &oracle_carry,
-                components,
-                comp_callers,
-                paranoid_monitor.as_ref(),
-                distances,
-            )
-        };
-        report.attempts += outcome.attempts;
-        report.hazard_skips += outcome.hazard_skips;
-        report.semantic_rejections += outcome.semantic_rejections;
-        report.score_time += outcome.stats.score_time;
-        report.commit_time += outcome.stats.commit_time;
-        report.planner.absorb(&outcome.stats);
-        report.align_peak_live_bytes = report.align_peak_live_bytes.max(outcome.align.0);
-        report.align_peak_full_matrix_bytes =
-            report.align_peak_full_matrix_bytes.max(outcome.align.1);
-        report.align_cells = report.align_cells.saturating_add(outcome.align.2);
-        report.align_trimmed_entries += outcome.align.3;
-        for r in &outcome.committed {
+        let mut source = CrossSource::new(
+            modules,
+            config,
+            names.clone(),
+            resolved,
+            distances,
+            graph,
+            locality,
+            condensation,
+            &mut oracle_carry,
+            paranoid_monitor.as_mut(),
+        );
+        let (committed, mut stats) = run_plan(
+            &mut source,
+            ScoreMode::Speculative {
+                batch_size: config.batch_size.max(1),
+            },
+        );
+        stats.oracle_links = source.oracle_links;
+        stats.oracle_carried = source.oracle_carried;
+        stats.hazard_reuse = source.hazard_reuse;
+        report.attempts += source.attempts;
+        report.hazard_skips += source.hazard_skips;
+        report.semantic_rejections += source.semantic_rejections;
+        report.score_time += stats.score_time;
+        report.commit_time += stats.commit_time;
+        report.planner.absorb(&stats);
+        report.align_peak_live_bytes = report.align_peak_live_bytes.max(source.align_peak_live);
+        report.align_peak_full_matrix_bytes = report
+            .align_peak_full_matrix_bytes
+            .max(source.align_peak_full);
+        report.align_cells = report.align_cells.saturating_add(source.align_cells);
+        report.align_trimmed_entries += source.align_trimmed;
+        for r in &committed {
             report.forced_cross_edges += u64::from(r.forced_edges);
             report.saved_cross_edges += u64::from(r.saved_edges);
         }
-        let cross_commits = outcome.committed.len();
+        let cross_commits = committed.len();
         report.round_commits.push(cross_commits);
-        report.committed.extend(outcome.committed);
+        report.committed.extend(committed);
         report.rounds += 1;
         if input_index.is_none() {
             input_index = Some(round_index.clone());
@@ -1513,12 +1404,12 @@ fn run_pipeline(
                 }
                 let _span = telemetry::span_with("xmerge.intra", || module.name.clone());
                 let intra_report = merge_module(module, &merger, &intra_config);
-                if let Some(p) = &paranoid_monitor {
+                if let Some(monitor) = &mut paranoid_monitor {
                     if intra_report.num_merges() > 0 {
                         // Attribute intra-introduced regressions to this
                         // round rather than letting the next cross commit's
                         // check inherit them.
-                        p.lock().unwrap().check_module(module);
+                        monitor.check_module(module);
                     }
                 }
                 intra_commits += intra_report.num_merges();
@@ -1545,26 +1436,15 @@ fn run_pipeline(
         // Keep the oracle carry cache bounded: only entries whose module
         // (name, hash) identities are still live in the corpus can ever hit
         // again.
-        {
-            let live: HashSet<(&str, u64)> = modules
-                .iter()
-                .map(|m| (m.name.as_str(), m.content_hash()))
-                .collect();
-            oracle_carry
-                .lock()
-                .expect("oracle carry cache poisoned")
-                .retain(|(hn, hh, dn, dh), _| {
-                    live.contains(&(hn.as_str(), *hh)) && live.contains(&(dn.as_str(), *dh))
-                });
-        }
+        let live: Vec<u64> = modules.iter().map(Module::content_hash).collect();
+        oracle_carry.retain(|(h, hh, d, dh), _| live[*h] == *hh && live[*d] == *dh);
 
         if cross_commits == 0 && intra_commits == 0 {
             break; // Fixpoint reached.
         }
     }
 
-    if let Some(p) = paranoid_monitor {
-        let mut monitor = p.into_inner().expect("paranoid monitor poisoned");
+    if let Some(mut monitor) = paranoid_monitor {
         // One final whole-program pass: the per-commit checks are
         // module-scope, so cross-module regressions (declaration drift, ODR
         // clashes) surface here.
@@ -1602,199 +1482,6 @@ fn run_pipeline(
         Some(input_index.unwrap_or_default()),
         Some(input_calls.unwrap_or_default()),
     )
-}
-
-/// Statistics of one cross-module planning round over one region (or the
-/// whole corpus).
-struct RoundOutcome {
-    committed: Vec<CrossMergeRecord>,
-    attempts: usize,
-    hazard_skips: usize,
-    semantic_rejections: usize,
-    stats: PlanStats,
-    /// Alignment instrumentation folded over the round's scored pairs:
-    /// (peak live bytes, peak full-matrix bytes, cells, trimmed entries).
-    align: (u64, u64, u64, u64),
-}
-
-/// Runs one speculative score/commit pass over `modules` (the whole corpus,
-/// or one region of it with indices and names already remapped).
-#[allow(clippy::too_many_arguments)]
-fn run_cross_round(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    names: Vec<String>,
-    resolved: Vec<CrossKey>,
-    coupling: Arc<CouplingMap>,
-    carried: &OracleCarry,
-    components: Arc<ComponentMap>,
-    comp_callers: Arc<Vec<Vec<usize>>>,
-    paranoid: Option<&Mutex<analysis::ParanoidMonitor>>,
-    distances: Arc<DistanceMap>,
-) -> RoundOutcome {
-    let mut source = CrossSource::new(
-        modules,
-        config,
-        names,
-        resolved,
-        coupling,
-        carried,
-        components,
-        comp_callers,
-        paranoid,
-        distances,
-    );
-    let (committed, mut stats) = run_plan(
-        &mut source,
-        ScoreMode::Speculative {
-            batch_size: config.batch_size.max(1),
-        },
-    );
-    stats.oracle_links = source.oracle_links;
-    stats.oracle_carried = source.oracle_carried;
-    stats.hazard_reuse = source.hazard_reuse;
-    RoundOutcome {
-        committed,
-        attempts: source.attempts,
-        hazard_skips: source.hazard_skips,
-        semantic_rejections: source.semantic_rejections,
-        stats,
-        align: (
-            source.align_peak_live,
-            source.align_peak_full,
-            source.align_cells,
-            source.align_trimmed,
-        ),
-    }
-}
-
-/// Runs one round with each call-graph region planned and committed on its
-/// own worker thread. Regions share no symbols — no call edges, no external
-/// definitions, no candidate pairs cross a region boundary — so every
-/// region's plan is exactly what a sequential run restricted to it would
-/// produce, and regions cannot observe each other's commits. Results are
-/// stitched back in region order, keeping the pipeline deterministic.
-#[allow(clippy::too_many_arguments)]
-fn run_round_in_regions(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    names: &[String],
-    resolved: Vec<CrossKey>,
-    coupling: &Arc<CouplingMap>,
-    regions: &[Vec<usize>],
-    carried: &OracleCarry,
-    components: &Arc<ComponentMap>,
-    comp_callers: &Arc<Vec<Vec<usize>>>,
-    paranoid: Option<&Mutex<analysis::ParanoidMonitor>>,
-    distances: &Arc<DistanceMap>,
-) -> RoundOutcome {
-    let mut region_of = vec![0usize; modules.len()];
-    for (ri, members) in regions.iter().enumerate() {
-        for &m in members {
-            region_of[m] = ri;
-        }
-    }
-    // Bucket candidate keys per region; both endpoints of a pair are in one
-    // region by construction (the pair itself is a region link).
-    let mut keys_per_region: Vec<Vec<CrossKey>> = vec![Vec::new(); regions.len()];
-    for key in resolved {
-        debug_assert_eq!(region_of[key.0], region_of[key.1]);
-        keys_per_region[region_of[key.0]].push(key);
-    }
-
-    /// One region's slice of the corpus, module indices remapped to-region.
-    struct RegionTask {
-        members: Vec<usize>,
-        modules: Vec<Module>,
-        names: Vec<String>,
-        resolved: Vec<CrossKey>,
-    }
-    let mut tasks: Vec<Mutex<Option<RegionTask>>> = Vec::with_capacity(regions.len());
-    for (ri, members) in regions.iter().enumerate() {
-        let local_of: HashMap<usize, usize> = members
-            .iter()
-            .enumerate()
-            .map(|(local, &global)| (global, local))
-            .collect();
-        tasks.push(Mutex::new(Some(RegionTask {
-            modules: members
-                .iter()
-                .map(|&g| std::mem::take(&mut modules[g]))
-                .collect(),
-            names: members.iter().map(|&g| names[g].clone()).collect(),
-            resolved: keys_per_region[ri]
-                .drain(..)
-                .map(|(h, d, f1, f2)| (local_of[&h], local_of[&d], f1, f2))
-                .collect(),
-            members: members.to_vec(),
-        })));
-    }
-    let results: Vec<(Vec<usize>, Vec<Module>, RoundOutcome)> = tasks
-        .par_iter()
-        .map(|slot| {
-            let task = slot
-                .lock()
-                .expect("region mutex poisoned")
-                .take()
-                .expect("each region is taken exactly once");
-            let RegionTask {
-                members,
-                mut modules,
-                names,
-                resolved,
-            } = task;
-            let _span = telemetry::span_with("xmerge.region", || {
-                format!("{} modules, {} candidates", modules.len(), resolved.len())
-            });
-            let outcome = run_cross_round(
-                &mut modules,
-                config,
-                names,
-                resolved,
-                coupling.clone(),
-                carried,
-                components.clone(),
-                comp_callers.clone(),
-                paranoid,
-                distances.clone(),
-            );
-            (members, modules, outcome)
-        })
-        .collect();
-
-    let mut total = RoundOutcome {
-        committed: Vec::new(),
-        attempts: 0,
-        hazard_skips: 0,
-        semantic_rejections: 0,
-        stats: PlanStats::default(),
-        align: (0, 0, 0, 0),
-    };
-    let mut max_score_time = std::time::Duration::ZERO;
-    let mut max_commit_time = std::time::Duration::ZERO;
-    for (members, region_modules, outcome) in results {
-        for (&global, module) in members.iter().zip(region_modules) {
-            modules[global] = module;
-        }
-        total.committed.extend(outcome.committed);
-        total.attempts += outcome.attempts;
-        total.hazard_skips += outcome.hazard_skips;
-        total.semantic_rejections += outcome.semantic_rejections;
-        max_score_time = max_score_time.max(outcome.stats.score_time);
-        max_commit_time = max_commit_time.max(outcome.stats.commit_time);
-        total.stats.absorb(&outcome.stats);
-        total.align.0 = total.align.0.max(outcome.align.0);
-        total.align.1 = total.align.1.max(outcome.align.1);
-        total.align.2 = total.align.2.saturating_add(outcome.align.2);
-        total.align.3 += outcome.align.3;
-    }
-    // `absorb` counts one planner round per region and *sums* phase times
-    // that actually ran concurrently; report one pipeline round and the
-    // slowest region's times (the wall-clock the phases really took).
-    total.stats.rounds = 1;
-    total.stats.score_time = max_score_time;
-    total.stats.commit_time = max_commit_time;
-    total
 }
 
 /// Scores one cross-module pair without mutating anything; bodies are

@@ -182,126 +182,18 @@ fn callgraph_host_policy_forces_strictly_fewer_cross_edges() {
     assert!(verify_module(&linked).is_empty());
 }
 
-/// The region equivalence test: with one committing region (plus an
-/// unrelated singleton region), the region-parallel pipeline emits
-/// bit-identical records and modules to the sequential whole-corpus plan.
+/// Callgraph policy + fixpoint + oracle compose on the call-heavy corpus
+/// without rejections or verifier breakage.
 #[test]
-fn region_parallel_single_committing_region_is_bit_identical() {
-    let worker = |name: &str, helper: &str, k: i64| {
-        format!(
-            "define i32 @{name}(i32 %x) {{\nentry:\n  %a = add i32 %x, {k}\n  %b = mul i32 %a, 3\n  %c = call i32 @{helper}(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @{helper}(i32 %d)\n  %g = sub i32 %e, %a\n  %h2 = mul i32 %g, %b\n  %i = call i32 @{helper}(i32 %h2)\n  %j = add i32 %i, %d\n  ret i32 %j\n}}"
-        )
-    };
-    let corpus = || {
-        let mut a = ssa_ir::parse_module(&worker("left", "h1", 1)).unwrap();
-        a.name = "mod_a".to_string();
-        let mut b = ssa_ir::parse_module(&worker("right", "h1", 2)).unwrap();
-        b.name = "mod_b".to_string();
-        // A symbol-disjoint third module: its own region, nothing to merge.
-        let mut c = ssa_ir::parse_module(
-            "define double @noise(double %x) {\nentry:\n  %a = fmul double %x, 2.0\n  %b = fadd double %a, 1.0\n  ret double %b\n}",
-        )
-        .unwrap();
-        c.name = "mod_c".to_string();
-        vec![a, b, c]
-    };
-    let mut plain = corpus();
-    let baseline = xmerge_corpus(&mut plain, &XMergeConfig::new());
-    assert!(baseline.num_merges() >= 1, "{baseline}");
-    let mut regioned = corpus();
-    let report = xmerge_corpus(
-        &mut regioned,
-        &XMergeConfig::new().with_region_parallel(true),
-    );
-    assert_eq!(report.region_counts, vec![2], "{report}");
-    assert_eq!(
-        report.committed, baseline.committed,
-        "bit-identical records"
-    );
-    for (a, b) in plain.iter().zip(&regioned) {
-        assert_eq!(print_module(a), print_module(b));
-    }
-}
-
-/// Two symbol-disjoint committing regions: the region-parallel run commits
-/// the same operations (order may interleave differently across regions) and
-/// produces identical final modules.
-#[test]
-fn region_parallel_disjoint_regions_commit_the_same_set() {
-    let worker = |name: &str, helper: &str, k: i64| {
-        format!(
-            "define i32 @{name}(i32 %x) {{\nentry:\n  %a = add i32 %x, {k}\n  %b = mul i32 %a, 3\n  %c = call i32 @{helper}(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @{helper}(i32 %d)\n  %g = sub i32 %e, %a\n  %h2 = mul i32 %g, %b\n  %i = call i32 @{helper}(i32 %h2)\n  %j = add i32 %i, %d\n  ret i32 %j\n}}"
-        )
-    };
-    // Group B is float-heavy so discovery never pairs it with group A —
-    // otherwise a cross-group candidate pair would link the regions.
-    let fworker = |name: &str, k: f64| {
-        format!(
-            "define double @{name}(double %x) {{\nentry:\n  %a = fadd double %x, {k}.5\n  %b = fmul double %a, 3.0\n  %c = call double @hb(double %b)\n  %d = fdiv double %c, 2.0\n  %e = call double @hb(double %d)\n  %g = fmul double %e, %a\n  %h2 = fadd double %g, %b\n  %i = call double @hb(double %h2)\n  %j = fdiv double %i, %d\n  ret double %j\n}}"
-        )
-    };
-    let corpus = || {
-        let texts = [
-            ("a1", worker("left_a", "ha", 1)),
-            ("a2", worker("right_a", "ha", 2)),
-            ("b1", fworker("left_b", 5.0)),
-            ("b2", fworker("right_b", 9.0)),
-        ];
-        texts
-            .iter()
-            .map(|(module, text)| {
-                let mut m = ssa_ir::parse_module(text).unwrap();
-                m.name = (*module).to_string();
-                m
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut plain = corpus();
-    let baseline = xmerge_corpus(&mut plain, &XMergeConfig::new());
-    assert_eq!(baseline.num_merges(), 2, "{baseline}");
-    let mut regioned = corpus();
-    let report = xmerge_corpus(
-        &mut regioned,
-        &XMergeConfig::new()
-            .with_region_parallel(true)
-            .with_check_semantics(true),
-    );
-    assert_eq!(report.region_counts, vec![2], "{report}");
-    assert_eq!(report.semantic_rejections, 0);
-    let sorted = |mut records: Vec<xmerge::CrossMergeRecord>| {
-        records.sort_by(|a, b| {
-            (&a.host_module, &a.f1, &a.donor_module, &a.f2).cmp(&(
-                &b.host_module,
-                &b.f1,
-                &b.donor_module,
-                &b.f2,
-            ))
-        });
-        records
-    };
-    assert_eq!(
-        sorted(baseline.committed.clone()),
-        sorted(report.committed.clone())
-    );
-    for (a, b) in plain.iter().zip(&regioned) {
-        assert_eq!(print_module(a), print_module(b));
-    }
-}
-
-/// Region-parallel + callgraph policy + fixpoint + oracle compose on the
-/// call-heavy corpus without rejections or verifier breakage.
-#[test]
-fn regions_policy_and_fixpoint_compose_cleanly() {
+fn policy_and_fixpoint_compose_cleanly() {
     let mut corpus = CorpusSpec::call_heavy().generate();
     let config = XMergeConfig::new()
         .with_host_policy(HostPolicy::CallGraph)
-        .with_region_parallel(true)
         .with_check_semantics(true)
         .with_fixpoint(FixpointConfig::default());
     let report = xmerge_corpus(&mut corpus, &config);
     assert!(report.num_commits() >= 1, "{report}");
     assert_eq!(report.semantic_rejections, 0, "{report}");
-    assert_eq!(report.region_counts.len(), report.rounds);
     assert!(
         report.planner.oracle_links > 0,
         "the oracle must have linked pairs: {report}"
