@@ -53,7 +53,7 @@ fn structural_key_cache(c: &mut Criterion) {
         .iter()
         .flat_map(|m| m.functions().iter().cloned())
         .collect();
-    group.bench_function("hazard_scan_cached", |b| {
+    group.bench_function("structurally_equal_cached", |b| {
         b.iter(|| {
             let mut equal = 0usize;
             for f in &functions {
@@ -67,7 +67,7 @@ fn structural_key_cache(c: &mut Criterion) {
         })
     });
     let mut invalidating = functions.clone();
-    group.bench_function("hazard_scan_uncached", |b| {
+    group.bench_function("structurally_equal_uncached", |b| {
         b.iter(|| {
             let mut equal = 0usize;
             for f in invalidating.iter_mut() {

@@ -5,35 +5,112 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p fm_bench --bin experiments -- <experiment> [--scale F] [--threshold T]
+//! cargo run --release -p bench --bin experiments -- [experiment] [--scale F] [--threshold T]
 //! ```
 //!
-//! where `<experiment>` is one of `fig5`, `fig17a`, `fig17b`, `fig18`,
+//! where `[experiment]` is one of `fig5`, `fig17a`, `fig17b`, `fig18`,
 //! `table1`, `fig19`, `fig20`, `fig21`, `fig22`, `fig23`, `fig24`, `fig25`,
-//! or `all`. `--scale` shrinks the synthetic suites (default 0.5) and
-//! `--threshold` restricts the exploration thresholds that are run.
+//! or `all` (the default). `--scale` shrinks the synthetic suites (default
+//! 0.5) and `--threshold` restricts the exploration thresholds that are run.
 
 use fmsa::FmsaMerger;
 use salssa::{merge_module, DriverConfig, FunctionMerger, MergeOptions, SalSsaMerger};
 use ssa_interp::run_function;
 use ssa_passes::codesize::{module_size_bytes, reduction_percent, Target};
 use ssa_passes::{cleanup_module, reg2mem};
-use std::env;
+use std::process::ExitCode;
 use std::time::Instant;
 use workloads::BenchmarkSpec;
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let experiment = args.first().cloned().unwrap_or_else(|| "all".to_string());
-    let scale = flag_value(&args, "--scale").unwrap_or(0.5);
-    let threshold_filter = flag_value(&args, "--threshold").map(|t| t as usize);
+const USAGE: &str = "\
+usage: experiments [experiment] [options]
 
-    let thresholds: Vec<usize> = match threshold_filter {
+experiments:
+  fig5 fig17a fig17b fig18 table1 fig19 fig20 fig21 fig22 fig23 fig24 fig25
+  all                       every experiment above (the default)
+
+options:
+  --scale <f>               shrink factor of the synthetic suites, > 0
+                            (default 0.5)
+  --threshold <t>           run fig17a, fig17b, fig18 and fig24 only at
+                            exploration threshold t, a positive integer
+                            (default: 1, 5 and 10; `all` always uses 1)
+  -h, --help                show this help
+";
+
+/// A parsed command line.
+struct Args {
+    experiment: Option<String>,
+    scale: f64,
+    threshold: Option<usize>,
+}
+
+/// Parses the command line; `Err("")` asks for the usage text.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        experiment: None,
+        scale: 0.5,
+        threshold: None,
+    };
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let flag = arg.as_str();
+        let mut value = || {
+            iter.next()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag {
+            "--scale" => {
+                let v = value()?;
+                parsed.scale = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|s| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("bad --scale '{v}': expected a finite number > 0"))?;
+            }
+            "--threshold" => {
+                let v = value()?;
+                parsed.threshold =
+                    Some(v.parse::<usize>().ok().filter(|t| *t > 0).ok_or_else(|| {
+                        format!("bad --threshold '{v}': expected a positive integer")
+                    })?);
+            }
+            "-h" | "--help" => return Err(String::new()),
+            other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
+            name => {
+                if let Some(first) = parsed.experiment.replace(name.to_string()) {
+                    return Err(format!("more than one experiment ('{first}', '{name}')"));
+                }
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        experiment,
+        scale,
+        threshold,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) if msg.is_empty() => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+
+    let thresholds: Vec<usize> = match threshold {
         Some(t) => vec![t],
         None => vec![1, 5, 10],
     };
 
-    match experiment.as_str() {
+    match experiment.as_deref().unwrap_or("all") {
         "fig5" => fig5(scale),
         "fig17a" => fig17(
             scale,
@@ -85,17 +162,11 @@ fn main() {
             fig25(scale);
         }
         other => {
-            eprintln!("unknown experiment '{other}'");
-            std::process::exit(1);
+            eprintln!("error: unknown experiment '{other}'\n\n{USAGE}");
+            return ExitCode::from(2);
         }
     }
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    ExitCode::SUCCESS
 }
 
 fn suite(specs: Vec<BenchmarkSpec>, scale: f64) -> Vec<BenchmarkSpec> {

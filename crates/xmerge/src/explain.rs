@@ -19,10 +19,9 @@
 use crate::discover::discover;
 use crate::index::CorpusIndex;
 use crate::pipeline::{
-    has_odr_hazard, score_cross, uniquify_module_names, ScoredCross, XMergeConfig,
+    def_sites, has_odr_hazard, score_cross, uniquify_module_names, ScoredCross, XMergeConfig,
 };
-use ssa_ir::{Linkage, Module};
-use std::collections::HashMap;
+use ssa_ir::Module;
 use std::fmt;
 
 /// One stage of the replay: what was checked and what came out.
@@ -282,16 +281,7 @@ pub fn explain_pair(
 
     // Stage 4: the ODR hazard scan, over the same def-site map the pipeline
     // builds.
-    let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-    for (mi, m) in modules.iter().enumerate() {
-        for f in m.functions() {
-            def_sites
-                .entry(f.name.clone())
-                .or_default()
-                .push((mi, f.linkage));
-        }
-    }
-    if has_odr_hazard(modules, &def_sites, &s) {
+    if has_odr_hazard(modules, &def_sites(modules), &s) {
         ex.push(
             "hazard",
             "ODR hazard: a symbol this commit rewires (the pair itself, or one \

@@ -4,9 +4,14 @@
 //! `salssa report --json` and `salssa xmerge --json` outputs feed the
 //! BENCH_*.json trajectory tracking, so the schema here is append-only —
 //! add fields, never rename them. Retiring a field bumps the object's
-//! `"schema"` version instead of emitting it as a permanent zero: the
-//! `xmerge` object is at schema 2, which retired the per-round region
-//! counts of the removed region-parallel planner.
+//! `"schema"` version instead of emitting it as a permanent zero:
+//!
+//! - `xmerge` schema 2 retired the per-round region counts of the removed
+//!   region-parallel planner; schema 3 retired the `planner` block's
+//!   oracle-link, oracle-carry and hazard-reuse counters, which described
+//!   commit-loop caches that no longer exist.
+//! - `merge` schema 2 retired the same three `planner` keys (the block is
+//!   shared); schema-1 objects carry no `"schema"` field.
 
 use crate::pipeline::CorpusMergeReport;
 use salssa::{ModuleMergeReport, PlanStats};
@@ -27,16 +32,13 @@ fn pct(before: usize, after: usize) -> String {
 /// Serializes the planner-engine statistics shared by both report schemas.
 fn planner_json(stats: &PlanStats) -> String {
     format!(
-        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"oracle_links":{},"oracle_carried":{},"hazard_reuse":{},"internal_errors":{},"oracle_timeouts":{}}}"#,
+        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"internal_errors":{},"oracle_timeouts":{}}}"#,
         stats.candidates,
         stats.speculative_scores,
         stats.inline_scores,
         stats.rounds,
         ms(stats.score_time),
         ms(stats.commit_time),
-        stats.oracle_links,
-        stats.oracle_carried,
-        stats.hazard_reuse,
         stats.internal_errors,
         stats.oracle_timeouts
     )
@@ -171,7 +173,7 @@ pub fn merge_report_json(
         })
         .collect();
     format!(
-        r#"{{"kind":"merge","module":"{}","technique":"{}","threshold":{},"attempts":{},"merges":{},"semantic_rejections":{},"functions_before":{},"functions_after":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"align_ms":{},"codegen_ms":{},"peak_matrix_bytes":{},"dp_cells":{},"committed":[{}],"planner":{},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
+        r#"{{"kind":"merge","schema":2,"module":"{}","technique":"{}","threshold":{},"attempts":{},"merges":{},"semantic_rejections":{},"functions_before":{},"functions_after":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"align_ms":{},"codegen_ms":{},"peak_matrix_bytes":{},"dp_cells":{},"committed":[{}],"planner":{},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
         json_escape(input),
         json_escape(&report.technique),
         report.threshold,
@@ -265,7 +267,7 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
         })
         .collect();
     format!(
-        r#"{{"kind":"xmerge","schema":2,"modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
+        r#"{{"kind":"xmerge","schema":3,"modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
         report.modules,
         report.functions,
         report.candidates,
@@ -328,6 +330,10 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
 mod tests {
     use super::*;
 
+    /// The whole `planner` block of an all-zero report: pinning every key
+    /// shows the counters retired by the schema bumps are gone.
+    const EMPTY_PLANNER: &str = r#""planner":{"candidates":0,"speculative_scores":0,"inline_scores":0,"rounds":0,"score_ms":0.000,"commit_ms":0.000,"internal_errors":0,"oracle_timeouts":0}"#;
+
     #[test]
     fn corpus_json_is_well_formed_enough_to_eyeball() {
         let report = CorpusMergeReport {
@@ -337,8 +343,9 @@ mod tests {
         };
         let json = corpus_report_json(&report);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.starts_with(r#"{"kind":"xmerge","schema":2,"#));
+        assert!(json.starts_with(r#"{"kind":"xmerge","schema":3,"#));
         assert!(!json.contains("region_counts"));
+        assert!(json.contains(EMPTY_PLANNER), "{json}");
         assert!(json.contains(r#""modules":2"#));
         assert!(json.contains(r#""committed":[]"#));
         assert!(json.contains(r#""band":{"runs":0,"saturations":0}"#));
@@ -347,6 +354,16 @@ mod tests {
         assert!(json.contains(r#""telemetry":{"counters":{"#));
         assert!(json.contains(r#""recovery":{"functions_skipped":0,"modules_recovered":0}"#));
         assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0"#));
+    }
+
+    #[test]
+    fn merge_report_json_is_at_schema_two() {
+        let report = ModuleMergeReport::default();
+        let json = merge_report_json("m.ll", &report, (3, 2), (100, 80));
+        assert!(json.starts_with(r#"{"kind":"merge","schema":2,"module":"m.ll","#));
+        assert!(json.ends_with('}'));
+        assert!(json.contains(EMPTY_PLANNER), "{json}");
+        assert!(json.contains(r#""size_before_bytes":100,"size_after_bytes":80"#));
     }
 
     #[test]

@@ -40,15 +40,12 @@
 //! member with *lower* static intra-module coupling (callers + callees that
 //! would be forced into cross-module hops by moving its body) donates,
 //! minimizing the call edges the commit forces cross-module; ties fall back to
-//! the size rule. Every commit records the forced and saved edge counts. Its
-//! SCC condensation also decides which pre-scanned hazard verdicts a commit
-//! invalidates.
+//! the size rule. Every commit records the forced and saved edge counts.
 
 use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
-use callgraph::{CallGraph, CallIndexReuse, Condensation, CorpusCallIndex, Locality};
+use callgraph::{CallGraph, CallIndexReuse, CorpusCallIndex, Locality};
 use fm_align::MinHash;
-use rayon::prelude::*;
 use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
 use salssa::{
     build_thunk, merge_module, merge_pair, merge_pair_with_distance, DriverConfig, MergeOptions,
@@ -56,13 +53,12 @@ use salssa::{
 };
 use ssa_ir::{
     callees_of, import_function, link_modules_with_renames, sanitize_symbol,
-    structural_key_counters, structurally_equal, FuncDecl, Function, LinkRenames, Linkage, Module,
+    structural_key_counters, structurally_equal, FuncDecl, Function, Linkage, Module,
 };
 use ssa_passes::codesize::function_size_bytes;
 use ssa_passes::module_size_bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How the cross-module pipeline decides which module hosts a merged body.
@@ -506,13 +502,10 @@ impl fmt::Display for CorpusMergeReport {
         )?;
         writeln!(
             f,
-            "  planner: {} candidates, {} speculative + {} inline scores, {} oracle links ({} carried over rounds), {} hazard verdicts reused; structural-key cache {:.1}% hits ({} hits / {} misses)",
+            "  planner: {} candidates, {} speculative + {} inline scores; structural-key cache {:.1}% hits ({} hits / {} misses)",
             self.planner.candidates,
             self.planner.speculative_scores,
             self.planner.inline_scores,
-            self.planner.oracle_links,
-            self.planner.oracle_carried,
-            self.planner.hazard_reuse,
             100.0 * self.cache_hit_rate(),
             self.cache_hits,
             self.cache_misses
@@ -563,22 +556,23 @@ pub(crate) type CrossKey = (usize, usize, String, String);
 /// change a result, only its cost.
 type DistanceMap = HashMap<CrossKey, u64>;
 
-/// A linked oracle *before* program with its rename map; `None` records that
-/// the (host, donor) pair carries a pre-existing duplicate-symbol conflict
-/// and cannot link. `Arc` so the cross-round carry cache and the per-round
-/// cache share one copy.
-type OracleEntry = Option<Arc<(Module, LinkRenames)>>;
+/// Where every symbol is defined (module index) and with which linkage: the
+/// map the ODR hazard rules of [`has_odr_hazard`] consult.
+pub(crate) type DefSites = HashMap<String, Vec<(usize, Linkage)>>;
 
-/// The cross-round oracle carry cache: before-programs keyed by the module
-/// indices *and* content hashes of the (host, donor) pair. The index matters
-/// because the cached [`LinkRenames`] keys internal entry points by module
-/// name — two same-content modules under different names (the ODR-duplicate
-/// case) must not share an entry; commits never rename a module, so an index
-/// names one module for the whole run. A commit changes the mutated module's
-/// hash, so stale entries become unreachable by construction;
-/// [`run_pipeline`] prunes entries whose (index, hash) left the corpus after
-/// every round.
-type OracleCarry = HashMap<(usize, u64, usize, u64), OracleEntry>;
+/// Builds the [`DefSites`] map of a corpus.
+pub(crate) fn def_sites(modules: &[Module]) -> DefSites {
+    let mut sites = DefSites::new();
+    for (mi, m) in modules.iter().enumerate() {
+        for f in m.functions() {
+            sites
+                .entry(f.name.clone())
+                .or_default()
+                .push((mi, f.linkage));
+        }
+    }
+    sites
+}
 
 /// The cross-module [`CandidateSource`]: LSH-shard discovery provides the
 /// candidates, [`score_cross`] the scores, and the import/merge/thunk commit
@@ -591,12 +585,11 @@ struct CrossSource<'a> {
     /// Module names at round start (commits never rename modules).
     names: Vec<String>,
     /// Where every symbol is defined, with its linkage, for the hazard rules.
-    def_sites: HashMap<String, Vec<(usize, Linkage)>>,
+    def_sites: DefSites,
     /// Discovery output, in discovery order (the speculative key set),
     /// size-rule oriented; the placement hook applies the host policy.
     resolved: Vec<CrossKey>,
-    /// The call graph at round start. Its node ids index `locality` and
-    /// `component_of`.
+    /// The call graph at round start. Its node ids index `locality`.
     graph: CallGraph,
     /// Per-node locality summaries: the static call sites that moving a
     /// body would force cross-module, which the host policy places by.
@@ -607,31 +600,6 @@ struct CrossSource<'a> {
     attempts: usize,
     hazard_skips: usize,
     semantic_rejections: usize,
-    /// Per-round cache of oracle *before* programs per (host, donor) module
-    /// pair, so consecutive oracle runs over untouched module pairs link
-    /// once instead of once per commit. Invalidated whenever a commit
-    /// mutates either side. Misses consult the cross-round carry cache
-    /// before linking.
-    oracle_before: HashMap<(usize, usize), OracleEntry>,
-    /// The cross-round carry cache (see [`OracleCarry`]).
-    carried: &'a mut OracleCarry,
-    /// Whole-program links performed for the oracle (before + after sides).
-    oracle_links: usize,
-    /// Before-programs served from the carry cache instead of re-linking.
-    oracle_carried: usize,
-    /// Per-node condensation component of the round's call graph, and the
-    /// reverse (callee component → caller components) edges used to
-    /// propagate taint to everything that could depend on a mutated module.
-    component_of: Vec<usize>,
-    comp_callers: Vec<Vec<usize>>,
-    /// Hazard verdicts pre-scanned (in parallel) at plan time; valid for a
-    /// pair as long as neither endpoint's condensation component is tainted.
-    hazard_cache: HashMap<CrossKey, bool>,
-    /// Condensation components affected by this round's commits, closed
-    /// under "is called by" (ancestors in the condensation DAG).
-    tainted: HashSet<usize>,
-    /// Hazard verdicts reused from the pre-scan.
-    hazard_reuse: usize,
     /// Alignment instrumentation folded over every scored pair:
     /// (peak live bytes, peak full-matrix bytes, cells, trimmed entries).
     align_peak_live: u64,
@@ -655,24 +623,9 @@ impl<'a> CrossSource<'a> {
         distances: DistanceMap,
         graph: CallGraph,
         locality: Vec<Locality>,
-        condensation: Condensation,
-        carried: &'a mut OracleCarry,
         paranoid: Option<&'a mut analysis::ParanoidMonitor>,
     ) -> CrossSource<'a> {
-        // Where each symbol is defined, with linkage, for the hazard rules.
-        let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-        for (mi, m) in modules.iter().enumerate() {
-            for f in m.functions() {
-                def_sites
-                    .entry(f.name.clone())
-                    .or_default()
-                    .push((mi, f.linkage));
-            }
-        }
-        let mut comp_callers = vec![Vec::new(); condensation.components.len()];
-        for &(caller, callee) in &condensation.edges {
-            comp_callers[callee].push(caller);
-        }
+        let def_sites = def_sites(modules);
         CrossSource {
             modules,
             config,
@@ -686,15 +639,6 @@ impl<'a> CrossSource<'a> {
             attempts: 0,
             hazard_skips: 0,
             semantic_rejections: 0,
-            oracle_before: HashMap::new(),
-            carried,
-            oracle_links: 0,
-            oracle_carried: 0,
-            component_of: condensation.component_of,
-            comp_callers,
-            hazard_cache: HashMap::new(),
-            tainted: HashSet::new(),
-            hazard_reuse: 0,
             align_peak_live: 0,
             align_peak_full: 0,
             align_cells: 0,
@@ -749,73 +693,6 @@ impl<'a> CrossSource<'a> {
             HostPolicy::Size => 0,
         };
         (forced, saved)
-    }
-
-    /// Ensures the linked before-program of a (host, donor) pair is cached,
-    /// consulting the cross-round carry cache — keyed by the two modules'
-    /// content hashes, so only commit-untouched pairs can hit — before
-    /// linking. A cached `None` records that the pair carries a pre-existing
-    /// duplicate-symbol conflict and cannot be attested.
-    fn ensure_oracle_before(&mut self, host: usize, donor: usize) {
-        let key = (host, donor);
-        if self.oracle_before.contains_key(&key) {
-            return;
-        }
-        let carry_key = (
-            host,
-            self.modules[host].content_hash(),
-            donor,
-            self.modules[donor].content_hash(),
-        );
-        if let Some(entry) = self.carried.get(&carry_key).cloned() {
-            self.oracle_carried += 1;
-            self.oracle_before.insert(key, entry);
-            return;
-        }
-        self.oracle_links += 1;
-        let linked =
-            link_modules_with_renames([&self.modules[host], &self.modules[donor]], "pair.before")
-                .ok()
-                .map(Arc::new);
-        self.carried.insert(carry_key, linked.clone());
-        self.oracle_before.insert(key, linked);
-    }
-
-    /// Marks every condensation component holding a function of `module` —
-    /// and, transitively, every component calling into those — as affected
-    /// by a commit. Pre-scanned hazard verdicts of pairs whose endpoints
-    /// land in a tainted component are discarded.
-    fn taint_module(&mut self, module: usize) {
-        // Nodes are grouped by module in corpus order.
-        let nodes = &self.graph.nodes;
-        let first = nodes.partition_point(|n| n.module < module);
-        let end = nodes.partition_point(|n| n.module <= module);
-        let mut queue: Vec<usize> = self.component_of[first..end]
-            .iter()
-            .copied()
-            .filter(|c| self.tainted.insert(*c))
-            .collect();
-        while let Some(component) = queue.pop() {
-            for &caller in &self.comp_callers[component] {
-                if self.tainted.insert(caller) {
-                    queue.push(caller);
-                }
-            }
-        }
-    }
-
-    /// The pre-scanned hazard verdict of a pair, if it is still valid: both
-    /// endpoints must map to condensation components no commit has tainted
-    /// (the verdict is a pure function of the host and donor module
-    /// contents, and a commit taints every component of the modules it
-    /// mutates).
-    fn reusable_hazard(&self, key: &CrossKey, s: &ScoredCross) -> Option<bool> {
-        let verdict = *self.hazard_cache.get(key)?;
-        let component =
-            |module: usize, name: &str| Some(self.component_of[self.graph.node_id(module, name)?]);
-        let c1 = component(s.host, &s.f1)?;
-        let c2 = component(s.donor, &s.f2)?;
-        (!self.tainted.contains(&c1) && !self.tainted.contains(&c2)).then_some(verdict)
     }
 
     /// Names a candidate key for telemetry decision provenance.
@@ -901,10 +778,7 @@ impl CandidateSource for CrossSource<'_> {
     /// Derives the commit schedule: every successfully scored pair, most
     /// profitable first, ties broken by module/function names (total, since
     /// module names are unique after uniquification). Also folds the
-    /// alignment instrumentation of every scored pair and pre-scans the
-    /// hazard verdicts of the would-be winners on all cores, so the
-    /// sequential commit loop only re-scans pairs whose call-graph
-    /// components a commit actually touched.
+    /// alignment instrumentation of every scored pair.
     fn plan(&mut self, cache: &salssa::plan::ScoreCache<CrossKey, ScoredCross>) {
         let mut scored: Vec<(CrossKey, i64, bool)> = Vec::with_capacity(cache.len());
         for (key, score) in cache.iter() {
@@ -927,24 +801,6 @@ impl CandidateSource for CrossSource<'_> {
                 ))
             })
         });
-        // Hazard pre-scan: only profitable pairs can win a group, and the
-        // verdict is a pure read, so it parallelizes freely here — before
-        // any commit has mutated a module.
-        let profitable: Vec<(&CrossKey, &ScoredCross)> = cache
-            .iter()
-            .filter_map(|(key, score)| score.as_ref().filter(|s| s.profit > 0).map(|s| (key, s)))
-            .collect();
-        let modules = &*self.modules;
-        let def_sites = &self.def_sites;
-        let _span = telemetry::span_with("xmerge.hazard_scan", || {
-            format!("{} pairs", profitable.len())
-        });
-        self.hazard_cache = profitable
-            .par_iter()
-            .map(|(key, s)| ((*key).clone(), has_odr_hazard(modules, def_sites, s)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
         self.schedule = scored.into();
     }
 
@@ -1000,14 +856,8 @@ impl CandidateSource for CrossSource<'_> {
         Some(self.pair_of(key))
     }
 
-    fn hazard(&mut self, key: &CrossKey, score: &ScoredCross) -> bool {
-        let verdict = match self.reusable_hazard(key, score) {
-            Some(verdict) => {
-                self.hazard_reuse += 1;
-                verdict
-            }
-            None => has_odr_hazard(self.modules, &self.def_sites, score),
-        };
+    fn hazard(&mut self, _key: &CrossKey, score: &ScoredCross) -> bool {
+        let verdict = has_odr_hazard(self.modules, &self.def_sites, score);
         if verdict {
             self.hazard_skips += 1;
         }
@@ -1056,25 +906,22 @@ impl CandidateSource for CrossSource<'_> {
                 return CommitOutcome::Skipped;
             };
             extra_profit = profit;
-            // The before side comes from the per-round cache: candidate pairs
-            // cluster on module pairs, so one link per (host, donor) between
-            // mutations serves a whole batch of oracle runs.
-            self.ensure_oracle_before(s.host, s.donor);
-            self.oracle_links += 1;
-            let Ok((after_prog, _)) =
-                link_modules_with_renames([&trial_host, &trial_donor], "pair.after")
-            else {
-                self.hazard_skips += 1;
-                return CommitOutcome::Skipped;
-            };
-            let Some(entry) = self.oracle_before[&(s.host, s.donor)].clone() else {
+            let Ok((before_prog, before_renames)) = link_modules_with_renames(
+                [&self.modules[s.host], &self.modules[s.donor]],
+                "pair.before",
+            ) else {
                 // The pair itself carries a pre-existing duplicate-symbol
                 // conflict: the oracle cannot attest anything, so skip the
                 // commit conservatively as a link hazard.
                 self.hazard_skips += 1;
                 return CommitOutcome::Skipped;
             };
-            let (before_prog, before_renames) = &*entry;
+            let Ok((after_prog, _)) =
+                link_modules_with_renames([&trial_host, &trial_donor], "pair.after")
+            else {
+                self.hazard_skips += 1;
+                return CommitOutcome::Skipped;
+            };
             // Internal entry points were localized by the link; resolve them
             // through the rename map (host and donor keep their module names
             // across the before/after links, so the names line up).
@@ -1087,7 +934,7 @@ impl CandidateSource for CrossSource<'_> {
             telemetry::faultinject::trip("oracle.check");
             let verdict = entries.iter().try_for_each(|name| {
                 ssa_interp::differential_check_with_fuel(
-                    before_prog,
+                    &before_prog,
                     &after_prog,
                     name,
                     SEMANTIC_SAMPLES,
@@ -1118,22 +965,6 @@ impl CandidateSource for CrossSource<'_> {
                 return CommitOutcome::Skipped;
             };
             extra_profit = profit;
-        }
-        // The commit mutated the donor (and, for genuine merges, the host):
-        // cached before-programs involving a mutated module are stale, and
-        // pre-scanned hazard verdicts whose components touch a mutated
-        // module must be re-scanned. (The carry cache self-invalidates: the
-        // mutated module's content hash changed.)
-        let host_mutated = !s.odr_dedup;
-        self.oracle_before.retain(|(h, d), _| {
-            let stale = [h, d]
-                .into_iter()
-                .any(|m| *m == s.donor || (host_mutated && *m == s.host));
-            !stale
-        });
-        self.taint_module(s.donor);
-        if host_mutated {
-            self.taint_module(s.host);
         }
         if !s.odr_dedup {
             self.consumed.insert((s.host, s.f1.clone()));
@@ -1217,10 +1048,6 @@ fn run_pipeline(
     };
     let (hits0, misses0) = structural_key_counters();
     let align0 = fm_align::alignment_counters();
-    // Oracle before-programs carried across fixpoint rounds for module pairs
-    // no commit touched (content-hash keyed; pruned to live hashes per
-    // round).
-    let mut oracle_carry = OracleCarry::new();
     uniquify_module_names(modules);
     // The paranoid baseline is captured after name uniquification so its
     // fingerprints use the same module names every later check sees.
@@ -1323,14 +1150,12 @@ fn run_pipeline(
 
         // Re-build the whole-program call graph (unchanged modules reuse
         // their call-site summaries) with the per-function locality the host
-        // policy places by and the SCC condensation that gates hazard
-        // re-scans.
+        // policy places by.
         let callgraph_span = telemetry::timed_span("xmerge.callgraph");
         let (round_calls, call_reuse) =
             CorpusCallIndex::build_incremental(modules, call_index.as_ref());
         let graph = CallGraph::resolve(&round_calls);
         let locality = graph.locality();
-        let condensation = graph.condensation();
         report.callgraph_time += callgraph_span.stop();
         report.call_index_reuse.absorb(call_reuse);
 
@@ -1342,19 +1167,14 @@ fn run_pipeline(
             distances,
             graph,
             locality,
-            condensation,
-            &mut oracle_carry,
             paranoid_monitor.as_mut(),
         );
-        let (committed, mut stats) = run_plan(
+        let (committed, stats) = run_plan(
             &mut source,
             ScoreMode::Speculative {
                 batch_size: config.batch_size.max(1),
             },
         );
-        stats.oracle_links = source.oracle_links;
-        stats.oracle_carried = source.oracle_carried;
-        stats.hazard_reuse = source.hazard_reuse;
         report.attempts += source.attempts;
         report.hazard_skips += source.hazard_skips;
         report.semantic_rejections += source.semantic_rejections;
@@ -1432,12 +1252,6 @@ fn run_pipeline(
                 );
             }
         }
-
-        // Keep the oracle carry cache bounded: only entries whose module
-        // (name, hash) identities are still live in the corpus can ever hit
-        // again.
-        let live: Vec<u64> = modules.iter().map(Module::content_hash).collect();
-        oracle_carry.retain(|(h, hh, d, dh), _| live[*h] == *hh && live[*d] == *dh);
 
         if cross_commits == 0 && intra_commits == 0 {
             break; // Fixpoint reached.
@@ -1555,11 +1369,7 @@ pub(crate) fn score_cross(
 ///   callee defined *internally* in the donor but not identically in the
 ///   host is a hazard too — the call would escape the donor's module-local
 ///   symbol, which [`ssa_ir::link_modules`] localizes away.
-pub(crate) fn has_odr_hazard(
-    modules: &[Module],
-    def_sites: &HashMap<String, Vec<(usize, Linkage)>>,
-    s: &ScoredCross,
-) -> bool {
+pub(crate) fn has_odr_hazard(modules: &[Module], def_sites: &DefSites, s: &ScoredCross) -> bool {
     if s.odr_dedup {
         // Dropping one of several identical external copies is link-safe for
         // the symbol itself (the scorer established host/donor bodies are
@@ -1813,15 +1623,7 @@ mod tests {
         let mut third = parse_module(&worker("dup", "internal ", 40)).unwrap();
         third.name = "third".to_string();
         let modules = [host, donor, third];
-        let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-        for (mi, m) in modules.iter().enumerate() {
-            for f in m.functions() {
-                def_sites
-                    .entry(f.name.clone())
-                    .or_default()
-                    .push((mi, f.linkage));
-            }
-        }
+        let sites = def_sites(&modules);
         let s = ScoredCross {
             host: 0,
             donor: 1,
@@ -1833,7 +1635,7 @@ mod tests {
             align: (0, 0, 0, 0),
         };
         assert!(
-            !has_odr_hazard(&modules, &def_sites, &s),
+            !has_odr_hazard(&modules, &sites, &s),
             "internal @dup in a third module must not block the merge"
         );
         // Flip the third module's copy to external linkage: now it's a rival.
@@ -1842,17 +1644,9 @@ mod tests {
             .function_mut("dup")
             .unwrap()
             .set_linkage(Linkage::External);
-        let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-        for (mi, m) in modules.iter().enumerate() {
-            for f in m.functions() {
-                def_sites
-                    .entry(f.name.clone())
-                    .or_default()
-                    .push((mi, f.linkage));
-            }
-        }
+        let sites = def_sites(&modules);
         assert!(
-            has_odr_hazard(&modules, &def_sites, &s),
+            has_odr_hazard(&modules, &sites, &s),
             "an external rival definition of @dup must still be a hazard"
         );
     }
@@ -1871,15 +1665,7 @@ mod tests {
         let mut donor = parse_module(donor_text).unwrap();
         donor.name = "donor".to_string();
         let modules = [host, donor];
-        let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-        for (mi, m) in modules.iter().enumerate() {
-            for f in m.functions() {
-                def_sites
-                    .entry(f.name.clone())
-                    .or_default()
-                    .push((mi, f.linkage));
-            }
-        }
+        let sites = def_sites(&modules);
         let merge = ScoredCross {
             host: 0,
             donor: 1,
@@ -1891,7 +1677,7 @@ mod tests {
             align: (0, 0, 0, 0),
         };
         assert!(
-            has_odr_hazard(&modules, &def_sites, &merge),
+            has_odr_hazard(&modules, &sites, &merge),
             "the host has no @helper: the moved body's call would escape the donor-internal symbol"
         );
         let dedup = ScoredCross {
@@ -1899,7 +1685,7 @@ mod tests {
             ..merge
         };
         assert!(
-            has_odr_hazard(&modules, &def_sites, &dedup),
+            has_odr_hazard(&modules, &sites, &dedup),
             "serving donor callers from the host re-binds the internal callee too"
         );
         // An identical internal copy in the host makes both safe.
@@ -1910,6 +1696,6 @@ mod tests {
             odr_dedup: false,
             ..dedup
         };
-        assert!(!has_odr_hazard(&modules, &def_sites, &merge));
+        assert!(!has_odr_hazard(&modules, &sites, &merge));
     }
 }

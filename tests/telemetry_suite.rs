@@ -228,11 +228,14 @@ proptest! {
         }
     }
 
-    /// The counting allocator's live-bytes figure returns exactly to its
-    /// baseline once a scoped workload drops: every tracked allocation is
-    /// matched by a tracked deallocation of the same size (realloc included).
-    /// One warm-up run of the same workload first lets process-wide lazy
-    /// state (thread locals, interned tables) reach steady state.
+    /// The counting allocator's live bytes return exactly to their baseline
+    /// once a scoped workload drops: every tracked allocation is matched by a
+    /// tracked deallocation of the same size (realloc included). The workload
+    /// is single-threaded, so the live-bytes check reads this thread's own
+    /// counters; the process-wide `current_bytes` also moves with whatever
+    /// other test threads allocate while tracking is on. One warm-up run of
+    /// the same workload first lets lazy state (thread locals, interned
+    /// tables) reach steady state.
     #[test]
     fn alloc_current_bytes_returns_to_baseline(seed in 0u64..1000) {
         let _guard = exclusive_telemetry();
@@ -247,14 +250,17 @@ proptest! {
             }
             grown.len()
         };
+        let thread_counters = || (telemetry::thread_alloc_bytes(), telemetry::thread_dealloc_bytes());
         telemetry::set_alloc_tracking(true);
         workload(seed);
         let before = telemetry::alloc_snapshot();
+        let (alloc0, dealloc0) = thread_counters();
         let produced = workload(seed);
+        let (alloc1, dealloc1) = thread_counters();
         let after = telemetry::alloc_snapshot();
         telemetry::set_alloc_tracking(false);
         prop_assert!(produced > 0);
-        prop_assert_eq!(after.current_bytes, before.current_bytes);
+        prop_assert_eq!(alloc1 - alloc0, dealloc1 - dealloc0);
         prop_assert!(after.total_alloc_bytes > before.total_alloc_bytes);
         prop_assert!(after.allocs > before.allocs);
     }

@@ -194,16 +194,6 @@ fn policy_and_fixpoint_compose_cleanly() {
     let report = xmerge_corpus(&mut corpus, &config);
     assert!(report.num_commits() >= 1, "{report}");
     assert_eq!(report.semantic_rejections, 0, "{report}");
-    assert!(
-        report.planner.oracle_links > 0,
-        "the oracle must have linked pairs: {report}"
-    );
-    // The per-round before-link cache keeps links at (or below) two per
-    // oracle-checked commit attempt.
-    assert!(
-        report.planner.oracle_links <= 2 * (report.attempts + report.num_commits()),
-        "{report}"
-    );
     for module in &corpus {
         assert!(verify_module(module).is_empty(), "module {}", module.name);
     }
